@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 
 using namespace sparseloop;
 
@@ -91,9 +91,9 @@ searchBestEdp(const Workload &w, const Architecture &arch,
     MapperOptions opts;
     opts.samples = 2000;
     opts.strategy = SearchStrategyKind::Hierarchical;
-    opts.objective = ObjectiveSpec(Objective::Edp);
+    opts.objective = ObjectiveSpec::single(Metric::Edp);
     opts.mapspace = space_opts;
-    MapperResult r = ParallelMapper(w, arch, none, opts).search();
+    MapperResult r = Mapper(w, arch, none, opts).searchWithThreads(0);
     std::printf("  %-22s best EDP %.4e (%lld evaluated, %lld valid)\n",
                 label, r.found ? r.eval.edp() : 0.0,
                 static_cast<long long>(r.candidates_evaluated),
@@ -136,7 +136,7 @@ main()
         MapperOptions opts;
         opts.samples = 1 << 22;
         opts.strategy = SearchStrategyKind::Exhaustive;
-        opts.objective = ObjectiveSpec(Objective::Edp);
+        opts.objective = ObjectiveSpec::single(Metric::Edp);
         opts.mapspace = pruned ? MapSpaceOptions{} : raw_opts;
         Mapper mapper(tiny_w, tiny_arch, none, opts);
         MapperResult r = mapper.search();
@@ -180,7 +180,7 @@ main()
             MapperOptions opts;
             opts.samples = budget;
             opts.strategy = SearchStrategyKind::Exhaustive;
-            opts.objective = ObjectiveSpec(Objective::Edp);
+            opts.objective = ObjectiveSpec::single(Metric::Edp);
             opts.mapspace = pruned ? MapSpaceOptions{} : raw_opts;
             MapperResult r = Mapper(tiny_w, tiny_arch, none, opts)
                                  .search();

@@ -1,11 +1,11 @@
 /**
  * @file
- * Ablation: scaling of the sharded mapspace search. Runs the same
- * search budget through the sequential Mapper and through
- * ParallelMapper at increasing thread counts, reporting wall-clock,
- * speedup, and a bit-identity check of the returned best mapping —
- * the property that makes the parallel path a drop-in replacement in
- * every DSE sweep.
+ * Ablation: scaling of the multi-threaded mapspace search. Runs the
+ * same search budget through `Mapper::search` and through
+ * `Mapper::searchWithThreads` at increasing thread counts, reporting
+ * wall-clock, speedup, and a bit-identity check of the returned best
+ * mapping — the property that makes the threaded path a drop-in
+ * replacement in every DSE sweep.
  */
 
 #include <cstdio>
@@ -13,14 +13,14 @@
 
 #include "apps/designs.hh"
 #include "bench/bench_util.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 
 using namespace sparseloop;
 
 int
 main()
 {
-    bench::header("Ablation: parallel mapper scaling (spMspM DSE)");
+    bench::header("Ablation: threaded mapper search scaling (spMspM DSE)");
 
     Workload w = makeMatmul(128, 128, 128);
     bindUniformDensities(w, {{"A", 0.1}, {"B", 0.1}});
@@ -30,12 +30,12 @@ main()
 
     MapperOptions opts;
     opts.samples = 4000;
-    opts.objective = Objective::Edp;
+    opts.objective = ObjectiveSpec::single(Metric::Edp);
 
+    Mapper mapper(w, d.arch, d.safs, opts);
     MapperResult seq;
-    double seq_seconds = bench::timeSeconds([&] {
-        seq = Mapper(w, d.arch, d.safs, opts).search();
-    });
+    double seq_seconds =
+        bench::timeSeconds([&] { seq = mapper.search(); });
     std::printf("%-10s %-10s %-10s %-10s %-10s\n", "threads",
                 "seconds", "speedup", "identical", "valid");
     std::printf("%-10s %-10.3f %-10s %-10s %-10lld\n", "seq",
@@ -43,13 +43,9 @@ main()
                 static_cast<long long>(seq.candidates_valid));
 
     for (int threads : {1, 2, 4, 8}) {
-        ParallelMapperOptions popts;
-        popts.num_threads = threads;
         MapperResult par;
-        double seconds = bench::timeSeconds([&] {
-            par = ParallelMapper(w, d.arch, d.safs, opts, popts)
-                      .search();
-        });
+        double seconds = bench::timeSeconds(
+            [&] { par = mapper.searchWithThreads(threads); });
         bool identical = par.found == seq.found &&
             par.candidates_evaluated == seq.candidates_evaluated &&
             par.candidates_valid == seq.candidates_valid &&

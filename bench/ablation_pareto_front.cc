@@ -15,7 +15,7 @@
  *
  * The bench also asserts (exit code) the archive's determinism
  * contract: re-running a search, and running it through
- * `ParallelMapper` at 4 threads, must reproduce the front
+ * `Mapper::searchWithThreads(4)`, must reproduce the front
  * bit-identically — entry by entry, metric by metric.
  */
 
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 
 using namespace sparseloop;
 
@@ -91,7 +91,8 @@ main()
 
     for (SearchStrategyKind kind :
          {SearchStrategyKind::Random, SearchStrategyKind::Hybrid,
-          SearchStrategyKind::Annealing, SearchStrategyKind::Genetic}) {
+          SearchStrategyKind::Annealing, SearchStrategyKind::Genetic,
+          SearchStrategyKind::Hierarchical}) {
         MapperOptions opts;
         opts.samples = budget;
         opts.seed = seed;
@@ -99,7 +100,7 @@ main()
         // EDP drives every strategy; the archive tracks the
         // cycles-vs-energy trade-off it passes through.
         opts.objective =
-            ObjectiveSpec(Objective::Edp).withFrontMetrics(axes);
+            ObjectiveSpec::single(Metric::Edp).withFrontMetrics(axes);
         Mapper mapper(w, arch, safs, opts);
         Run run;
         run.seconds = bench::timeSeconds(
@@ -111,13 +112,10 @@ main()
             ok = false;
         }
 
-        // Determinism: a repeat run and a 4-thread parallel run must
-        // reproduce the front bit-identically.
+        // Determinism: a repeat run and a 4-thread run must reproduce
+        // the front bit-identically.
         MapperResult again = Mapper(w, arch, safs, opts).search();
-        ParallelMapperOptions popts;
-        popts.num_threads = 4;
-        MapperResult parallel =
-            ParallelMapper(w, arch, safs, opts, popts).search();
+        MapperResult parallel = mapper.searchWithThreads(4);
         if (!identicalFronts(run.result.pareto_front,
                              again.pareto_front) ||
             !identicalFronts(run.result.pareto_front,

@@ -45,7 +45,7 @@
 
 #include "apps/designs.hh"
 #include "bench/bench_util.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "model/batch_evaluator.hh"
 
 using namespace sparseloop;
@@ -183,7 +183,7 @@ main()
         opts.samples = 200;
         // EDP drives the search; the archive tracks the full co-design
         // trade-off surface (cycles x energy x on-chip capacity).
-        opts.objective = ObjectiveSpec(Objective::Edp).withFrontMetrics(
+        opts.objective = ObjectiveSpec::single(Metric::Edp).withFrontMetrics(
             {Metric::Cycles, Metric::Energy, Metric::PeakCapacity});
         opts.pareto_capacity = 12;
         opts.strategy = SearchStrategyKind::Annealing;
@@ -200,9 +200,9 @@ main()
         MapperOptions keep_opts = opts;
         keep_opts.mapspace.explore_bypass = false;
         MapperResult keepall =
-            ParallelMapper(w, d.arch, d.safs, keep_opts).search();
+            Mapper(w, d.arch, d.safs, keep_opts).searchWithThreads(0);
         MapperResult searched =
-            ParallelMapper(w, d.arch, d.safs, opts).search();
+            Mapper(w, d.arch, d.safs, opts).searchWithThreads(0);
         double searched_ratio =
             searched.found ? searched.eval.edp() / edps[best] : 1.0;
         std::printf("  %s.%s (searched %.3fx, %lld seeds)\n",

@@ -22,9 +22,7 @@
  *    uncached, each row reporting its speedup over the 1-thread row.
  *    Rows asking for more threads than the host has are marked
  *    `advisory` (the regression gate skips them: a single-core host
- *    cannot measure scaling, only overhead);
- *  - roofline: an analytical upper bound on evals/sec for this
- *    workload from a minimum-work model (see docs/benchmarks.md).
+ *    cannot measure scaling, only overhead).
  *
  * Usage: perf_engine [output.json]   (stdout when omitted)
  */
@@ -43,7 +41,7 @@
 #include "model/batch_evaluator.hh"
 #include "model/engine.hh"
 #include "model/eval_cache.hh"
-#include "model/reference_engine.hh"
+#include "reference/reference_engine.hh"
 
 using namespace sparseloop;
 
@@ -58,16 +56,6 @@ struct Scenario
     Architecture arch;
     SafSpec safs;
     std::vector<Mapping> mappings;  ///< front() is the cold-path mapping
-
-    int loopCount() const
-    {
-        int loops = 0;
-        for (int l = 0; l < mappings.front().levelCount(); ++l) {
-            loops += static_cast<int>(
-                mappings.front().level(l).loops.size());
-        }
-        return loops;
-    }
 };
 
 Architecture
@@ -269,28 +257,6 @@ evalsPerSec(F &&one_eval, double min_seconds = 0.2)
     }
 }
 
-/**
- * Analytical roofline on evaluations/sec (upper bound; see
- * docs/benchmarks.md): the three modeling steps must at minimum
- * produce every (level, tensor) dense and sparse record (a fixed
- * budget of arithmetic per record) and scan the loop nest a bounded
- * number of times per record. At `bench::kHostGhz`, with an
- * optimistic 1 op/cycle, that floor on work gives a ceiling on rate.
- */
-double
-rooflineEvalsPerSec(const Scenario &s)
-{
-    constexpr double kOpsPerRecord = 150.0;  // dense + sparse + uarch
-    constexpr double kOpsPerLoopScan = 6.0;
-    const double records = static_cast<double>(s.arch.levelCount()) *
-                           s.workload.tensorCount();
-    const double loop_scans =
-        static_cast<double>(s.loopCount()) * records;
-    const double min_ops =
-        records * kOpsPerRecord + loop_scans * kOpsPerLoopScan;
-    return bench::kHostGhz * 1e9 / min_ops;
-}
-
 struct BatchRate
 {
     int threads;
@@ -304,7 +270,6 @@ struct BatchRate
 struct ScenarioResult
 {
     std::string name;
-    double roofline;
     double cold_engine;
     double cold_reference;
     double cached;
@@ -317,7 +282,6 @@ runScenario(const Scenario &s)
 {
     ScenarioResult r;
     r.name = s.name;
-    r.roofline = rooflineEvalsPerSec(s);
 
     Engine engine(s.arch);
     const Mapping &m0 = s.mappings.front();
@@ -406,9 +370,6 @@ emitJson(std::FILE *out, const std::vector<ScenarioResult> &results)
         const ScenarioResult &r = results[i];
         std::fprintf(out, "    {\n");
         std::fprintf(out, "      \"name\": \"%s\",\n", r.name.c_str());
-        std::fprintf(out,
-                     "      \"roofline_evals_per_sec\": %.1f,\n",
-                     r.roofline);
         std::fprintf(out, "      \"cold\": {\n");
         std::fprintf(out,
                      "        \"engine_evals_per_sec\": %.1f,\n",
@@ -465,10 +426,9 @@ main(int argc, char **argv)
         const ScenarioResult &r = results.back();
         std::fprintf(stderr,
                      "[perf_engine]   cold %.0f/s (ref %.0f/s, x%.2f) "
-                     "cached %.0f/s roofline %.0f/s\n",
+                     "cached %.0f/s\n",
                      r.cold_engine, r.cold_reference,
-                     r.cold_engine / r.cold_reference, r.cached,
-                     r.roofline);
+                     r.cold_engine / r.cold_reference, r.cached);
         for (const BatchRate &row : r.batch) {
             std::fprintf(stderr,
                          "[perf_engine]   batch @%dt %.0f/s "

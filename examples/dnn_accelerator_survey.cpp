@@ -27,7 +27,7 @@
 
 #include "apps/designs.hh"
 #include "apps/dnn_models.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "model/batch_evaluator.hh"
 
 using namespace sparseloop;
@@ -148,11 +148,11 @@ main()
 
         MapperOptions opts;
         opts.samples = 150;
-        opts.objective = Objective::Edp;
+        opts.objective = ObjectiveSpec::single(Metric::Edp);
         opts.strategy = SearchStrategyKind::Annealing;
         opts.warm_start = pool;
         MapperResult searched =
-            ParallelMapper(w, design.arch, design.safs, opts).search();
+            Mapper(w, design.arch, design.safs, opts).searchWithThreads(0);
         double hand_edp = hand.valid ? hand.edp() : 0.0;
         double searched_edp =
             searched.found ? searched.eval.edp() : 0.0;

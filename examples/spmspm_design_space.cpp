@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "apps/designs.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "model/batch_evaluator.hh"
 
 using namespace sparseloop;
@@ -124,13 +124,13 @@ main()
             MapperOptions opts;
             opts.samples = 400;
             opts.objective =
-                ObjectiveSpec(Objective::Edp).withFrontMetrics(axes);
+                ObjectiveSpec::single(Metric::Edp).withFrontMetrics(axes);
             opts.strategy = SearchStrategyKind::Genetic;
             opts.cache = cache;
             opts.warm_start = pool;
             MapperResult searched =
-                ParallelMapper(w, designs[i].arch, designs[i].safs, opts)
-                    .search();
+                Mapper(w, designs[i].arch, designs[i].safs, opts)
+                    .searchWithThreads(0);
             evaluated += searched.candidates_evaluated;
             warm_seeds += searched.warm_start_candidates;
             // Fold this design's front into the scenario's; offsetting
@@ -147,9 +147,8 @@ main()
             keep_opts.mapspace.explore_bypass = false;
             keep_opts.warm_start = keep_pool;
             MapperResult keepall =
-                ParallelMapper(w, designs[i].arch, designs[i].safs,
-                               keep_opts)
-                    .search();
+                Mapper(w, designs[i].arch, designs[i].safs, keep_opts)
+                    .searchWithThreads(0);
             for (const ParetoEntry &p : keepall.pareto_front) {
                 const std::int64_t id =
                     static_cast<std::int64_t>(designs.size() + i) *

@@ -6,7 +6,7 @@
  * specification the optimized engine must reproduce bit-for-bit.
  */
 
-#include "model/reference_engine.hh"
+#include "reference/reference_engine.hh"
 
 #include <algorithm>
 #include <cmath>

@@ -19,8 +19,8 @@
  * its slowness is its purpose.
  */
 
-#ifndef SPARSELOOP_MODEL_REFERENCE_ENGINE_HH
-#define SPARSELOOP_MODEL_REFERENCE_ENGINE_HH
+#ifndef SPARSELOOP_REFERENCE_REFERENCE_ENGINE_HH
+#define SPARSELOOP_REFERENCE_REFERENCE_ENGINE_HH
 
 #include "model/engine.hh"
 
@@ -45,4 +45,4 @@ EvalResult referenceEvaluate(const Workload &workload,
 } // namespace refmodel
 } // namespace sparseloop
 
-#endif // SPARSELOOP_MODEL_REFERENCE_ENGINE_HH
+#endif // SPARSELOOP_REFERENCE_REFERENCE_ENGINE_HH

@@ -11,8 +11,9 @@ Arena &
 evalScratchArena()
 {
     // One arena per thread: the engine's modeling steps are the only
-    // users, they run strictly nested on one thread, and worker pools
-    // (ParallelMapper, BatchEvaluator) each get their own warm arena.
+    // users, they run strictly nested on one thread, and the worker
+    // pool's threads (BatchEvaluator's waves) each get their own warm
+    // arena.
     static thread_local Arena arena(1 << 14);
     return arena;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Persistent worker pool shared by every parallel fan-out in the tree
- * (BatchEvaluator's evaluation waves, and through it ParallelMapper
- * and the round-based search strategies).
+ * (BatchEvaluator's evaluation waves, and through it
+ * `Mapper::searchWithThreads` and the round-based search strategies).
  *
  * The previous helpers (common/parallel.hh) spawned one `std::thread`
  * per call: a mapper batch of a handful of evaluations paid several

@@ -21,9 +21,23 @@
  *    maintains the Pareto archive alongside the incumbent
  *    (`MapperResult::pareto_front`).
  *
- * `ParallelMapper` is the same driver with a multi-threaded evaluation
- * pool; its results are bit-identical to the sequential `Mapper` at
+ * `search()` runs the driver with one evaluation worker and
+ * `searchWithThreads(n)` with `n`; the results are bit-identical at
  * every thread count, for every strategy.
+ *
+ * Quickstart:
+ * @code
+ *   MapperOptions opts;
+ *   opts.samples = 4000;
+ *   opts.objective = ObjectiveSpec::single(Metric::Edp);
+ *   opts.strategy = SearchStrategyKind::Auto;   // exhaustive if small
+ *   opts.cache = std::make_shared<EvalCache>(); // optional, shared
+ *   MapperResult best =
+ *       Mapper(workload, arch, safs, opts).searchWithThreads(0);
+ *   if (best.found) {
+ *       std::puts(best.mapping.toString(workload).c_str());
+ *   }
+ * @endcode
  */
 
 #ifndef SPARSELOOP_MAPPER_MAPPER_HH
@@ -46,9 +60,7 @@ struct MapperOptions
     /**
      * How candidates are ranked (mapper/objective.hh): a single
      * metric, a weighted sum, a lexicographic order, or a constrained
-     * form. Defaults to EDP; the legacy `Objective` enum still
-     * assigns (`opts.objective = Objective::Delay`) and reproduces
-     * the historical scalar search bit-identically.
+     * form. Defaults to `ObjectiveSpec::single(Metric::Edp)`.
      */
     ObjectiveSpec objective;
     /** Candidate budget: proposals evaluated before stopping (an
@@ -186,9 +198,10 @@ class Mapper
 
     /**
      * Run the search with @p num_threads evaluation workers (0 = all
-     * cores). The result is bit-identical to `search()` for every
-     * strategy: candidates are proposed in the same order and the
-     * batched evaluation is bit-identical to sequential evaluation.
+     * cores; each batch clamps the count to its size). The result is
+     * bit-identical to `search()` for every strategy: candidates are
+     * proposed in the same order and the batched evaluation is
+     * bit-identical to sequential evaluation.
      */
     MapperResult searchWithThreads(int num_threads) const;
 

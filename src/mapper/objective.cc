@@ -67,15 +67,10 @@ compareScalar(double a, double b)
 
 } // namespace
 
-ObjectiveSpec::ObjectiveSpec(Objective legacy)
-    : form_(Form::Single), front_(defaultFrontMetrics())
+ObjectiveSpec::ObjectiveSpec()
+    : form_(Form::Single), primary_(Metric::Edp),
+      front_(defaultFrontMetrics())
 {
-    switch (legacy) {
-      case Objective::Edp: primary_ = Metric::Edp; return;
-      case Objective::Delay: primary_ = Metric::Cycles; return;
-      case Objective::Energy: primary_ = Metric::Energy; return;
-    }
-    SL_PANIC("unknown legacy objective");
 }
 
 ObjectiveSpec

@@ -45,15 +45,6 @@
 
 namespace sparseloop {
 
-/** Legacy scalar objective selector (still accepted everywhere an
- *  `ObjectiveSpec` is: the spec constructor bridges it). */
-enum class Objective
-{
-    Edp,     ///< energy-delay product
-    Delay,   ///< cycles
-    Energy,  ///< pJ
-};
-
 /** One dimension of the metric vector extracted from an `EvalResult`. */
 enum class Metric : int
 {
@@ -109,17 +100,16 @@ struct MetricVector
 
 /**
  * How a search ranks candidates. A spec is one of four forms, built
- * through the named factories; the default (and the bridge from the
- * legacy `Objective` enum) is a single-metric EDP spec, which
- * reproduces the historical scalar search bit-identically.
+ * through the named factories; the default is a single-metric EDP
+ * spec, which reproduces the historical scalar search bit-identically.
  *
  * Every form provides:
  *  - `scalarize` — the scalar feedback handed to
  *    `SearchStrategy::observe` (lower is better, +infinity for
  *    candidates a constrained spec rejects), and
  *  - `compare`/`better` — the total order the drivers reduce with;
- *    `better` folds in the proposal-index tie-break, so Mapper,
- *    ParallelMapper, and the warm-start pool all share one rule.
+ *    `better` folds in the proposal-index tie-break, so the Mapper
+ *    driver and the warm-start pool share one rule.
  */
 class ObjectiveSpec
 {
@@ -148,12 +138,7 @@ class ObjectiveSpec
     };
 
     /** Default: single-metric EDP (the historical objective). */
-    ObjectiveSpec() : ObjectiveSpec(Objective::Edp) {}
-
-    /** Bridge from the legacy enum: Edp/Delay/Energy become the
-     *  corresponding single-metric specs. Intentionally implicit so
-     *  `options.objective = Objective::Edp` keeps compiling. */
-    ObjectiveSpec(Objective legacy);
+    ObjectiveSpec();
 
     /** Minimize @p metric alone. */
     static ObjectiveSpec single(Metric metric);
@@ -225,8 +210,8 @@ class ObjectiveSpec
      * The shared total-order reduction rule: @p a (proposed at
      * @p index_a) beats @p b (proposed at @p index_b) when `compare`
      * ranks it strictly better, or on a tie when it was proposed
-     * first. This is the single tie-break used by `Mapper`,
-     * `ParallelMapper`, and `WarmStartPool` re-ranking.
+     * first. This is the single tie-break used by `Mapper` and
+     * `WarmStartPool` re-ranking.
      */
     bool better(const MetricVector &a, std::int64_t index_a,
                 const MetricVector &b, std::int64_t index_b) const;

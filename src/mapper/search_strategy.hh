@@ -2,9 +2,9 @@
  * @file
  * Pluggable search strategies over the mapspace IR.
  *
- * A strategy is a candidate generator: the driver (`Mapper` /
- * `ParallelMapper`) repeatedly asks it to `propose` a batch of
- * candidates, evaluates the batch through `BatchEvaluator` (so
+ * A strategy is a candidate generator: the driver (`Mapper`)
+ * repeatedly asks it to `propose` a batch of candidates, evaluates
+ * the batch through `BatchEvaluator` (so
  * deduplication, dense-prefix grouping, and the worker pool apply
  * during search), feeds scalar objectives back via `observe`, and
  * keeps the (objective, index)-lexicographic best. The scalars come

@@ -35,8 +35,8 @@
  *       MapperOptions opts;
  *       opts.strategy = SearchStrategyKind::Annealing;
  *       opts.warm_start = pool;  // seeded by earlier design points
- *       MapperResult r =
- *           ParallelMapper(w, design.arch, design.safs, opts).search();
+ *       MapperResult r = Mapper(w, design.arch, design.safs, opts)
+ *                            .searchWithThreads(0);
  *       // r.warm_start_candidates: elites that re-encoded and seeded
  *       // this search; r.mapping was recorded back into the pool.
  *   }

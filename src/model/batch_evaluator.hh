@@ -9,10 +9,10 @@
  * it deduplicates points by `EvalKey`, groups the survivors by
  * `DenseKey` so each dense dataflow analysis runs once, then fans the
  * work out across the persistent worker pool (common/thread_pool.hh,
- * the same pool `ParallelMapper` and the search strategies ride) in
- * two chunk-scheduled waves: dense analyses by group, then the
- * per-point sparse/micro-architecture steps. Every key is hashed once
- * per batch, workers write only their own slots, and cache
+ * the same pool `Mapper::searchWithThreads` and the search strategies
+ * ride) in two chunk-scheduled waves: dense analyses by group, then
+ * the per-point sparse/micro-architecture steps. Every key is hashed
+ * once per batch, workers write only their own slots, and cache
  * insertions are buffered and merged into the `EvalCache` shards in
  * bulk after each wave. All lookups and computations go through a
  * shared `EvalCache`, so repeated `evaluateBatch` calls — and any

@@ -5,9 +5,27 @@
 
 #include "service/protocol.hh"
 
+#include <climits>
 #include <cstdio>
 
 namespace sparseloop {
+
+namespace {
+
+/** A u32 count the session casts to `int`: values above INT_MAX would
+ *  wrap to a negative budget, so they are refused on decode. */
+std::uint32_t
+intCount(WireReader &r, const char *field)
+{
+    std::uint32_t value = r.u32();
+    if (value > static_cast<std::uint32_t>(INT_MAX)) {
+        throw WireError(std::string(field) + " " +
+                        std::to_string(value) + " exceeds INT_MAX");
+    }
+    return value;
+}
+
+} // namespace
 
 std::vector<std::uint8_t>
 encodeFrame(FrameType type, const std::vector<std::uint8_t> &payload)
@@ -138,7 +156,7 @@ SearchRequest::decodePayload(WireReader &r)
 {
     SearchRequest req;
     req.context = r.str();
-    req.samples = r.u32();
+    req.samples = intCount(r, "samples");
     req.seed = r.u64();
     req.strategy = r.u8();
     if (req.strategy >
@@ -146,8 +164,8 @@ SearchRequest::decodePayload(WireReader &r)
         throw WireError("unknown search strategy id " +
                         std::to_string(req.strategy));
     }
-    req.batch_size = r.u32();
-    req.threads = r.u32();
+    req.batch_size = intCount(r, "batch_size");
+    req.threads = intCount(r, "threads");
     req.use_warm_start = r.boolean();
     r.expectDone("SearchRequest");
     return req;

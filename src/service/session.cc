@@ -70,9 +70,7 @@ handleSearch(const ServiceRegistry &registry, WireReader &r,
     Mapper mapper(ctx->spec.workload, ctx->spec.arch, ctx->spec.safs,
                   options);
     MapperResult result =
-        req.threads == 1
-            ? mapper.search()
-            : mapper.searchWithThreads(static_cast<int>(req.threads));
+        mapper.searchWithThreads(static_cast<int>(req.threads));
 
     SearchReply reply;
     reply.found = result.found;

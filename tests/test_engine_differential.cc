@@ -6,7 +6,7 @@
  * scratch, flat traffic grids, hoisted per-SAF elimination
  * probabilities, fused block-inflation passes, moved-in traffic — and
  * every one of them must be *provably invisible*. The oracle is
- * `refmodel::referenceEvaluate` (src/model/reference_engine.cc), a
+ * `refmodel::referenceEvaluate` (reference/reference_engine.cc), a
  * frozen, deliberately naive transcription of the three modeling
  * steps. This suite pits the two against each other over hundreds of
  * seeded randomized (workload, mapping, SAF, format) tuples and
@@ -37,7 +37,7 @@
 #include "format/tensor_format.hh"
 #include "model/batch_evaluator.hh"
 #include "model/engine.hh"
-#include "model/reference_engine.hh"
+#include "reference/reference_engine.hh"
 #include "refsim/cycle_spmspm.hh"
 #include "tensor/generate.hh"
 #include "workload/builders.hh"

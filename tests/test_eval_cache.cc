@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "density/structured.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "model/eval_cache.hh"
 #include "workload/builders.hh"
 
@@ -364,10 +364,7 @@ TEST(MapperCache, ParallelSearchSharesCacheAcrossThreads)
     ASSERT_TRUE(reference.found);
 
     opts.cache = std::make_shared<EvalCache>();
-    ParallelMapperOptions popts;
-    popts.num_threads = 4;
-    MapperResult par =
-        ParallelMapper(w, arch, safs, opts, popts).search();
+    MapperResult par = Mapper(w, arch, safs, opts).searchWithThreads(4);
     ASSERT_TRUE(par.found);
     EXPECT_TRUE(bitIdentical(reference.eval, par.eval));
     EXPECT_EQ(reference.mapping.signature(), par.mapping.signature());
@@ -375,7 +372,7 @@ TEST(MapperCache, ParallelSearchSharesCacheAcrossThreads)
     // A second parallel search over the shared cache is all hits.
     EvalCacheStats before = opts.cache->stats();
     MapperResult again =
-        ParallelMapper(w, arch, safs, opts, popts).search();
+        Mapper(w, arch, safs, opts).searchWithThreads(4);
     EvalCacheStats after = opts.cache->stats();
     EXPECT_TRUE(bitIdentical(reference.eval, again.eval));
     EXPECT_EQ(after.result_misses, before.result_misses);

@@ -81,10 +81,10 @@ TEST(Mapper, ObjectiveSelectionMatters)
     Architecture arch = searchArch();
     SafSpec none;
     MapperOptions delay_opts;
-    delay_opts.objective = Objective::Delay;
+    delay_opts.objective = ObjectiveSpec::single(Metric::Cycles);
     delay_opts.samples = 400;
     MapperOptions energy_opts;
-    energy_opts.objective = Objective::Energy;
+    energy_opts.objective = ObjectiveSpec::single(Metric::Energy);
     energy_opts.samples = 400;
     MapperResult best_delay = Mapper(w, arch, none, delay_opts).search();
     MapperResult best_energy =

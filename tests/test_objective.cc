@@ -74,14 +74,10 @@ TEST(MetricVector, ExtractsEveryMetricFromAnEvalResult)
     EXPECT_DOUBLE_EQ(flat.peakCapacityWords(), 42.0);
 }
 
-TEST(ObjectiveSpec, LegacyEnumBridgesToSingleMetricSpecs)
+TEST(ObjectiveSpec, DefaultIsSingleEdpWithCyclesEnergyFront)
 {
-    const MetricVector m = vec(50.0, 4.0);
-    EXPECT_DOUBLE_EQ(ObjectiveSpec(Objective::Edp).scalarize(m), 200.0);
-    EXPECT_DOUBLE_EQ(ObjectiveSpec(Objective::Delay).scalarize(m), 50.0);
-    EXPECT_DOUBLE_EQ(ObjectiveSpec(Objective::Energy).scalarize(m), 4.0);
-    // The default spec is EDP with the cycles-vs-energy front.
     ObjectiveSpec def;
+    EXPECT_DOUBLE_EQ(def.scalarize(vec(50.0, 4.0)), 200.0);
     EXPECT_EQ(def.form(), ObjectiveSpec::Form::Single);
     EXPECT_EQ(def.primary(), Metric::Edp);
     ASSERT_EQ(def.frontMetrics().size(), 2u);

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the multi-threaded mapspace search: the parallel mapper
- * must return results bit-identical to the sequential Mapper across
- * objectives and thread counts.
+ * Tests for the multi-threaded mapspace search:
+ * `Mapper::searchWithThreads(n)` must return results bit-identical to
+ * the sequential `Mapper::search()` across objectives and thread
+ * counts.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
@@ -59,51 +60,43 @@ expectIdentical(const MapperResult &seq, const MapperResult &par)
     }
 }
 
-TEST(ParallelMapper, MatchesSequentialAcrossThreadCounts)
+TEST(ParallelSearch, MatchesSequentialAcrossThreadCounts)
 {
     Workload w = makeMatmul(16, 16, 16);
     Architecture arch = searchArch();
     SafSpec none;
     MapperOptions opts;
     opts.samples = 300;
-    MapperResult seq = Mapper(w, arch, none, opts).search();
+    Mapper mapper(w, arch, none, opts);
+    MapperResult seq = mapper.search();
     ASSERT_TRUE(seq.found);
     for (int threads : {1, 2, 8}) {
-        ParallelMapperOptions popts;
-        popts.num_threads = threads;
-        MapperResult par =
-            ParallelMapper(w, arch, none, opts, popts).search();
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectIdentical(seq, par);
+        expectIdentical(seq, mapper.searchWithThreads(threads));
     }
 }
 
-TEST(ParallelMapper, MatchesSequentialAcrossObjectives)
+TEST(ParallelSearch, MatchesSequentialAcrossObjectives)
 {
     Workload w = makeMatmul(32, 32, 32);
     Architecture arch = searchArch();
     SafSpec none;
-    for (Objective obj :
-         {Objective::Edp, Objective::Delay, Objective::Energy}) {
+    for (Metric metric : {Metric::Edp, Metric::Cycles, Metric::Energy}) {
         MapperOptions opts;
-        opts.objective = obj;
+        opts.objective = ObjectiveSpec::single(metric);
         opts.samples = 400;
-        MapperResult seq = Mapper(w, arch, none, opts).search();
+        Mapper mapper(w, arch, none, opts);
+        MapperResult seq = mapper.search();
         ASSERT_TRUE(seq.found);
         for (int threads : {2, 8}) {
-            ParallelMapperOptions popts;
-            popts.num_threads = threads;
-            MapperResult par =
-                ParallelMapper(w, arch, none, opts, popts).search();
-            SCOPED_TRACE("objective=" +
-                         std::to_string(static_cast<int>(obj)) +
+            SCOPED_TRACE(std::string("objective=") + toString(metric) +
                          " threads=" + std::to_string(threads));
-            expectIdentical(seq, par);
+            expectIdentical(seq, mapper.searchWithThreads(threads));
         }
     }
 }
 
-TEST(ParallelMapper, MatchesSequentialWithSafsAndConstraints)
+TEST(ParallelSearch, MatchesSequentialWithSafsAndConstraints)
 {
     Workload w = makeMatmul(32, 32, 32);
     bindUniformDensities(w, {{"A", 0.1}});
@@ -115,45 +108,42 @@ TEST(ParallelMapper, MatchesSequentialWithSafsAndConstraints)
     cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
     MapperOptions opts;
     opts.samples = 400;
-    MapperResult seq = Mapper(w, arch, safs, opts, cons).search();
+    Mapper mapper(w, arch, safs, opts, cons);
+    MapperResult seq = mapper.search();
     ASSERT_TRUE(seq.found);
     for (int threads : {2, 8}) {
-        ParallelMapperOptions popts;
-        popts.num_threads = threads;
-        MapperResult par =
-            ParallelMapper(w, arch, safs, opts, popts, cons).search();
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectIdentical(seq, par);
+        expectIdentical(seq, mapper.searchWithThreads(threads));
     }
 }
 
-TEST(ParallelMapper, ThreadCountClampsToSamples)
+TEST(ParallelSearch, MoreThreadsThanSamples)
 {
+    // 16 workers for a 3-candidate budget: each batch clamps the
+    // worker count to its size, and the result is unchanged.
     Workload w = makeMatmul(8, 8, 8);
     Architecture arch = searchArch();
     SafSpec none;
     MapperOptions opts;
     opts.samples = 3;
-    ParallelMapperOptions popts;
-    popts.num_threads = 16;
-    ParallelMapper mapper(w, arch, none, opts, popts);
-    EXPECT_EQ(mapper.threadCount(), 3);
-    MapperResult seq = Mapper(w, arch, none, opts).search();
-    MapperResult par = mapper.search();
+    Mapper mapper(w, arch, none, opts);
+    MapperResult seq = mapper.search();
+    MapperResult par = mapper.searchWithThreads(16);
+    EXPECT_EQ(par.candidates_evaluated, 3);
     expectIdentical(seq, par);
 }
 
-TEST(ParallelMapper, DefaultThreadCountIsPositive)
+TEST(ParallelSearch, DefaultThreadCount)
 {
+    // 0 = all hardware threads.
     Workload w = makeMatmul(8, 8, 8);
     Architecture arch = searchArch();
     SafSpec none;
     MapperOptions opts;
     opts.samples = 64;
-    ParallelMapper mapper(w, arch, none, opts);
-    EXPECT_GE(mapper.threadCount(), 1);
-    MapperResult seq = Mapper(w, arch, none, opts).search();
-    MapperResult par = mapper.search();
+    Mapper mapper(w, arch, none, opts);
+    MapperResult seq = mapper.search();
+    MapperResult par = mapper.searchWithThreads(0);
     expectIdentical(seq, par);
 }
 

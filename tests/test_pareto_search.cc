@@ -16,7 +16,7 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "model/engine.hh"
 #include "workload/builders.hh"
 
@@ -125,7 +125,7 @@ TEST(ObjectiveLayer, EdpSpecIsBitIdenticalToTheScalarDriver)
         MapperOptions opts;
         opts.samples = kind == SearchStrategyKind::Exhaustive ? 2000 : 300;
         opts.strategy = kind;
-        opts.objective = Objective::Edp;  // the legacy enum still binds
+        opts.objective = ObjectiveSpec::single(Metric::Edp);
 
         MapperResult replica =
             scalarEdpReplica(w, arch, safs, opts, cons);
@@ -134,11 +134,8 @@ TEST(ObjectiveLayer, EdpSpecIsBitIdenticalToTheScalarDriver)
         // The refactored driver at 1/4/8 evaluation threads must
         // reproduce the scalar driver's result bit for bit.
         for (int threads : {1, 4, 8}) {
-            ParallelMapperOptions popts;
-            popts.num_threads = threads;
             MapperResult r =
-                ParallelMapper(w, arch, safs, opts, popts, cons)
-                    .search();
+                Mapper(w, arch, safs, opts, cons).searchWithThreads(threads);
             SCOPED_TRACE("strategy=" + r.strategy +
                          " threads=" + std::to_string(threads));
             ASSERT_TRUE(r.found);
@@ -197,10 +194,8 @@ TEST(ObjectiveLayer, ParetoFrontIsThreadCountIndependent)
         MapperResult seq = Mapper(w, arch, safs, opts).search();
         ASSERT_TRUE(seq.found);
         for (int threads : {1, 4, 8}) {
-            ParallelMapperOptions popts;
-            popts.num_threads = threads;
             MapperResult par =
-                ParallelMapper(w, arch, safs, opts, popts).search();
+                Mapper(w, arch, safs, opts).searchWithThreads(threads);
             SCOPED_TRACE("strategy=" + seq.strategy +
                          " threads=" + std::to_string(threads));
             expectIdenticalFronts(seq.pareto_front, par.pareto_front);
@@ -216,7 +211,7 @@ TEST(ObjectiveLayer, FrontEntriesAreMutuallyNonDominated)
     MapperOptions opts;
     opts.samples = 300;
     opts.strategy = SearchStrategyKind::Random;
-    opts.objective = ObjectiveSpec(Objective::Edp).withFrontMetrics(
+    opts.objective = ObjectiveSpec::single(Metric::Edp).withFrontMetrics(
         {Metric::Cycles, Metric::Energy, Metric::PeakCapacity});
     MapperResult r = Mapper(w, arch, none, opts).search();
     ASSERT_TRUE(r.found);
@@ -389,7 +384,7 @@ TEST(ObjectiveLayer, WarmStartPoolReRanksUnderTheConsumingSpec)
 
     // An energy-minimizing consumer sees b first ...
     std::vector<Mapping> by_energy =
-        pool.elites(ObjectiveSpec(Objective::Energy));
+        pool.elites(ObjectiveSpec::single(Metric::Energy));
     EXPECT_EQ(by_energy[0], b);
     // ... and so does an energy-constrained consumer whose cap only b
     // meets.

@@ -18,7 +18,7 @@
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
@@ -297,11 +297,8 @@ TEST(SearchStrategies, DeterministicAcrossRunsAndThreadsPerStrategy)
         }
         // 1 vs 4 vs 8 evaluation workers: bit-identical best mapping.
         for (int threads : {1, 4, 8}) {
-            ParallelMapperOptions popts;
-            popts.num_threads = threads;
             MapperResult par =
-                ParallelMapper(w, arch, safs, opts, popts, cons)
-                    .search();
+                Mapper(w, arch, safs, opts, cons).searchWithThreads(threads);
             SCOPED_TRACE("strategy=" + seq.strategy +
                          " threads=" + std::to_string(threads));
             expectIdentical(seq, par);

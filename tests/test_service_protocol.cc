@@ -13,6 +13,8 @@
 
 #include "model/engine.hh"
 #include "service/protocol.hh"
+#include "service/registry.hh"
+#include "service/session.hh"
 
 namespace sparseloop {
 namespace {
@@ -520,6 +522,48 @@ TEST(ServiceProtocol, SearchRequestRejectsUnknownStrategy)
     std::vector<std::uint8_t> bytes = req.encodePayload();
     WireReader r(bytes);
     EXPECT_THROW(SearchRequest::decodePayload(r), WireError);
+}
+
+TEST(ServiceProtocol, SearchRequestRejectsCountsAboveIntMax)
+{
+    // The session casts these counts to int; 0x80000000 would become a
+    // negative sample budget instead of a refused request.
+    for (int field = 0; field < 3; ++field) {
+        SearchRequest req;
+        req.context = "x";
+        std::uint32_t &count = field == 0 ? req.samples
+            : field == 1                  ? req.batch_size
+                                          : req.threads;
+        count = 0x80000000u;
+        std::vector<std::uint8_t> bytes = req.encodePayload();
+        WireReader r(bytes);
+        SCOPED_TRACE("field " + std::to_string(field));
+        EXPECT_THROW(SearchRequest::decodePayload(r), WireError);
+
+        count = 0x7FFFFFFFu;  // INT_MAX itself is a valid count
+        bytes = req.encodePayload();
+        WireReader ok(bytes);
+        EXPECT_EQ(SearchRequest::decodePayload(ok).context, "x");
+    }
+}
+
+TEST(ServiceProtocol, SessionRefusesNegativeSampleBudget)
+{
+    ServiceRegistry registry;
+    for (ServiceContextSpec &spec : standardServiceContexts(8, 8, 8)) {
+        registry.addContext(std::move(spec));
+    }
+    SearchRequest req;
+    req.context = registry.names().front();
+    req.samples = 0x80000000u;
+    std::vector<std::uint8_t> payload = req.encodePayload();
+    SessionEffects effects;
+    std::vector<std::uint8_t> reply =
+        handleRequest(registry, FrameType::kSearch, payload.data(),
+                      payload.size(), effects);
+    ASSERT_GE(reply.size(), kFrameHeaderBytes);
+    EXPECT_EQ(decodeFrameHeader(reply.data()).type, FrameType::kError);
+    EXPECT_FALSE(effects.wrote_cache);
 }
 
 TEST(ServiceProtocol, SearchReplyRoundTripsBitIdentically)
