@@ -257,17 +257,5 @@ parallelFor(int threads, std::size_t count, IndexBody body)
     ThreadPool::global().parallelFor(threads, count, body);
 }
 
-void
-runOnThreads(int threads, const std::function<void(int)> &fn)
-{
-    if (threads <= 1) {
-        fn(0);
-        return;
-    }
-    ThreadPool::global().parallelFor(
-        threads, static_cast<std::size_t>(threads),
-        [&fn](std::size_t t) { fn(static_cast<int>(t)); });
-}
-
 } // namespace parallel
 } // namespace sparseloop

@@ -53,7 +53,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -121,11 +120,11 @@ class IndexBody
  * second concurrent `parallelFor` (from another thread, or nested
  * from inside a region body) runs inline on its caller.
  *
- * Most code should use the free `parallelFor`/`runOnThreads` helpers,
- * which share the process-wide `global()` pool (and with it every
- * worker's warm scratch arena). Construct a private pool only to
- * control the helper count explicitly (tests do this to exercise real
- * concurrency on single-core hosts).
+ * Most code should use the free `parallelFor` helper, which shares
+ * the process-wide `global()` pool (and with it every worker's warm
+ * scratch arena). Construct a private pool only to control the helper
+ * count explicitly (tests do this to exercise real concurrency on
+ * single-core hosts).
  */
 class ThreadPool
 {
@@ -202,16 +201,6 @@ class ThreadPool
  * must treat the batch as aborted).
  */
 void parallelFor(int threads, std::size_t count, IndexBody body);
-
-/**
- * Run fn(t) exactly once for every t in [0, threads), spread across
- * the global pool (inline on the caller when threads <= 1). Unlike
- * the historical spawn-per-call helper, distinct t may execute
- * sequentially on one OS thread — the indices are work items, not
- * concurrent threads, so bodies must not synchronize with each other.
- * The first exception thrown is rethrown after the region drains.
- */
-void runOnThreads(int threads, const std::function<void(int)> &fn);
 
 } // namespace parallel
 } // namespace sparseloop

@@ -32,6 +32,28 @@ SearchStrategy::warmStart(const std::vector<MapSpace::Point> &points)
 // RandomSearch
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** The next @p count seeded samples: candidate `k` (counted by
+ *  @p next) is `space.sampleMapping(seed + k)`, the historical
+ *  derivation, so a given `k` yields the same candidate at any batch
+ *  size. */
+std::vector<SearchCandidate>
+seededSamples(const MapSpace &space, std::uint64_t seed,
+              std::int64_t &next, int count)
+{
+    std::vector<SearchCandidate> batch;
+    batch.reserve(static_cast<std::size_t>(std::max(0, count)));
+    for (int i = 0; i < count; ++i) {
+        const std::int64_t k = next++;
+        batch.push_back(
+            {k, space.sampleMapping(seed + static_cast<std::uint64_t>(k))});
+    }
+    return batch;
+}
+
+} // namespace
+
 RandomSearch::RandomSearch(const MapSpace &space, std::uint64_t seed)
     : space_(space), seed_(seed)
 {
@@ -40,18 +62,7 @@ RandomSearch::RandomSearch(const MapSpace &space, std::uint64_t seed)
 std::vector<SearchCandidate>
 RandomSearch::propose(int max_count)
 {
-    std::vector<SearchCandidate> batch;
-    batch.reserve(static_cast<std::size_t>(std::max(0, max_count)));
-    for (int i = 0; i < max_count; ++i) {
-        std::int64_t index = next_++;
-        // seed + index is the historical per-candidate derivation; a
-        // given index yields the same candidate at any batch size.
-        batch.push_back(
-            {index,
-             space_.sampleMapping(
-                 seed_ + static_cast<std::uint64_t>(index))});
-    }
-    return batch;
+    return seededSamples(space_, seed_, next_, max_count);
 }
 
 // ---------------------------------------------------------------------------
@@ -78,134 +89,6 @@ ExhaustiveSearch::propose(int max_count)
 }
 
 // ---------------------------------------------------------------------------
-// HybridSearch
-// ---------------------------------------------------------------------------
-
-HybridSearch::HybridSearch(const MapSpace &space, std::uint64_t seed,
-                           std::int64_t warmup)
-    : space_(space), seed_(seed),
-      warmup_(std::max<std::int64_t>(1, warmup)),
-      random_left_(warmup_),
-      incumbent_obj_(std::numeric_limits<double>::infinity())
-{
-}
-
-std::vector<SearchCandidate>
-HybridSearch::proposeRandom(int count)
-{
-    std::vector<SearchCandidate> batch;
-    batch.reserve(static_cast<std::size_t>(std::max(0, count)));
-    for (int i = 0; i < count; ++i) {
-        batch.push_back(
-            {next_++,
-             space_.sampleMapping(
-                 seed_ + static_cast<std::uint64_t>(next_seed_++))});
-    }
-    refining_ = false;
-    return batch;
-}
-
-void
-HybridSearch::warmStart(const std::vector<MapSpace::Point> &points)
-{
-    warm_pending_ = points;
-}
-
-std::vector<SearchCandidate>
-HybridSearch::propose(int max_count)
-{
-    if (max_count <= 0) {
-        return {};
-    }
-    // Warm-start points go out ahead of the random warmup; observe()
-    // adopts an improving one as the incumbent like any candidate.
-    if (!warm_pending_.empty()) {
-        std::vector<SearchCandidate> batch;
-        std::size_t take = std::min<std::size_t>(
-            static_cast<std::size_t>(max_count), warm_pending_.size());
-        for (std::size_t i = 0; i < take; ++i) {
-            batch.push_back(
-                {next_++, space_.materialize(warm_pending_[i])});
-        }
-        warm_pending_.erase(
-            warm_pending_.begin(),
-            warm_pending_.begin() + static_cast<std::ptrdiff_t>(take));
-        refining_ = false;
-        return batch;
-    }
-    // Warmup/restart: pure random while the exploration allowance
-    // lasts. With no refinable incumbent after a window (all
-    // candidates invalid or un-encodable), grant another one.
-    if (pending_.empty() && outstanding_ == 0) {
-        if (random_left_ == 0 && !incumbent_) {
-            random_left_ = warmup_;
-        }
-        if (random_left_ > 0) {
-            std::int64_t want =
-                std::min<std::int64_t>(max_count, random_left_);
-            auto batch = proposeRandom(static_cast<int>(want));
-            random_left_ -= static_cast<std::int64_t>(batch.size());
-            return batch;
-        }
-        // Start a refinement round: fix the incumbent's full
-        // neighborhood now and stream it out; the improve-or-restart
-        // decision falls at the round boundary (in observe), so the
-        // proposal sequence is independent of the driver's batch size.
-        pending_ = space_.neighbors(*incumbent_);
-        round_improved_ = false;
-        if (pending_.empty()) {
-            // Isolated point: only random exploration is left.
-            random_left_ = warmup_;
-            return propose(max_count);
-        }
-    }
-    std::vector<SearchCandidate> batch;
-    std::size_t take = std::min<std::size_t>(
-        static_cast<std::size_t>(max_count), pending_.size());
-    for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back({next_++, space_.materialize(pending_[i])});
-    }
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(take));
-    outstanding_ += static_cast<std::int64_t>(take);
-    refining_ = true;
-    return batch;
-}
-
-void
-HybridSearch::observe(const std::vector<SearchCandidate> &batch,
-                      const std::vector<double> &objectives)
-{
-    SL_ASSERT(batch.size() == objectives.size(),
-              "objective feedback size mismatch");
-    bool improved = false;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (objectives[i] < incumbent_obj_) {
-            auto point = space_.encode(batch[i].mapping);
-            if (point) {
-                incumbent_ = std::move(point);
-                incumbent_obj_ = objectives[i];
-                improved = true;
-            }
-        }
-    }
-    if (!refining_) {
-        return;
-    }
-    outstanding_ -= static_cast<std::int64_t>(batch.size());
-    round_improved_ = round_improved_ || improved;
-    if (outstanding_ == 0 && pending_.empty()) {
-        // Round boundary: a fruitless full neighborhood means a local
-        // optimum — grant another random-exploration window (the
-        // incumbent survives, so any later improvement refines again).
-        if (!round_improved_) {
-            random_left_ = warmup_;
-        }
-        refining_ = false;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // RoundStrategy
 // ---------------------------------------------------------------------------
 
@@ -229,16 +112,15 @@ RoundStrategy::propose(int max_count)
         return batch;
     }
     if (degenerate_) {
-        // No coordinate form available: seeded random sampling, the
-        // same candidate derivation RandomSearch uses.
-        batch.reserve(static_cast<std::size_t>(max_count));
-        for (int i = 0; i < max_count; ++i) {
-            batch.push_back(
-                {next_++,
-                 space_.sampleMapping(
-                     seed_ + static_cast<std::uint64_t>(next_seed_++))});
+        // No coordinate form available: sample exactly like
+        // RandomSearch.
+        if (next_ == 0) {
+            SL_WARN(name(), " search: the mapspace's tiling axes exceed ",
+                    "the materialization limits, so candidates cannot ",
+                    "be encoded as points; the search degenerates to ",
+                    "pure random sampling");
         }
-        return batch;
+        return seededSamples(space_, seed_, next_, max_count);
     }
     if (round_proposed_ == round_points_.size() &&
         round_observed_ == round_points_.size()) {
@@ -284,6 +166,55 @@ RoundStrategy::observe(const std::vector<SearchCandidate> &batch,
     }
     if (round_observed_ == round_points_.size()) {
         roundComplete(round_points_, round_objectives_);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// HybridSearch
+// ---------------------------------------------------------------------------
+
+HybridSearch::HybridSearch(const MapSpace &space, std::uint64_t seed,
+                           std::int64_t warmup)
+    : RoundStrategy(space, seed),
+      warmup_(std::max<std::int64_t>(1, warmup)),
+      incumbent_obj_(std::numeric_limits<double>::infinity())
+{
+}
+
+void
+HybridSearch::warmStart(const std::vector<MapSpace::Point> &points)
+{
+    warm_points_ = points;
+}
+
+void
+HybridSearch::buildRound(std::vector<MapSpace::Point> &out)
+{
+    if (incumbent_ && !stalled_) {
+        out = space_.neighbors(*incumbent_);
+        stalled_ = true;  // until roundComplete sees an improvement
+    }
+    if (out.empty()) {
+        // Random window (warmup or restart); warm-start points lead
+        // the first one.
+        out.swap(warm_points_);
+        for (std::int64_t i = 0; i < warmup_; ++i) {
+            out.push_back(nextSamplePoint());
+        }
+        stalled_ = false;
+    }
+}
+
+void
+HybridSearch::roundComplete(const std::vector<MapSpace::Point> &points,
+                            const std::vector<double> &objectives)
+{
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (objectives[i] < incumbent_obj_) {
+            incumbent_ = points[i];
+            incumbent_obj_ = objectives[i];
+            stalled_ = false;
+        }
     }
 }
 
@@ -658,23 +589,6 @@ HierarchicalSearch::roundComplete(
 // Factory
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** Warn once that a non-encodable space demotes coordinate-based
- *  strategies to seeded random sampling. */
-void
-warnNotEncodable(const MapSpace &space, const char *what)
-{
-    if (!space.pointEncodable()) {
-        SL_WARN(what, ": the mapspace's tiling axes exceed the ",
-                "materialization limits, so candidates cannot be ",
-                "encoded as points; the search degenerates to pure ",
-                "random sampling");
-    }
-}
-
-} // namespace
-
 std::unique_ptr<SearchStrategy>
 makeSearchStrategy(SearchStrategyKind kind, const MapSpace &space,
                    std::uint64_t seed, std::int64_t budget,
@@ -698,22 +612,18 @@ makeSearchStrategy(SearchStrategyKind kind, const MapSpace &space,
         }
         return std::make_unique<ExhaustiveSearch>(space);
       case SearchStrategyKind::Hybrid: {
-        warnNotEncodable(space, "hybrid search");
         std::int64_t warmup = tuning.hybrid_warmup > 0
             ? tuning.hybrid_warmup
             : std::max<std::int64_t>(1, budget / 4);
         return std::make_unique<HybridSearch>(space, seed, warmup);
       }
       case SearchStrategyKind::Annealing:
-        warnNotEncodable(space, "annealing search");
         return std::make_unique<AnnealingSearch>(space, seed, budget,
                                                  tuning.annealing);
       case SearchStrategyKind::Genetic:
-        warnNotEncodable(space, "genetic search");
         return std::make_unique<GeneticSearch>(space, seed,
                                                tuning.genetic);
       case SearchStrategyKind::Hierarchical:
-        warnNotEncodable(space, "hierarchical search");
         return std::make_unique<HierarchicalSearch>(
             space, seed, budget, tuning.hierarchical);
       case SearchStrategyKind::Auto:

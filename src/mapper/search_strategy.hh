@@ -38,6 +38,11 @@
  *    representative per cell via `MapSpace::coarsePoints`), then
  *    refine the winners' fine axes by greedy neighborhood descent.
  *
+ * Every strategy after `ExhaustiveSearch` is a `RoundStrategy`: it
+ * streams fixed rounds of `MapSpace::Point`s and decides only at round
+ * boundaries, and on a space whose points cannot be encoded it warns
+ * once and samples exactly like `RandomSearch`.
+ *
  * Strategies may also be seeded with starting points re-encoded from a
  * `WarmStartPool` (mapper/warm_start.hh) via `warmStart`, which is how
  * DSE sweep drivers reuse elite mappings across neighboring design
@@ -185,8 +190,8 @@ class SearchStrategy
      * points are proposed (and therefore evaluated and counted
      * against the budget) like any other candidate. The default
      * ignores them; `RandomSearch` and `ExhaustiveSearch` gain
-     * nothing from starting points, while `HybridSearch`,
-     * `AnnealingSearch`, and `GeneticSearch` override this.
+     * nothing from starting points, while the round-based strategies
+     * override this.
      */
     virtual void warmStart(const std::vector<MapSpace::Point> &points);
 };
@@ -220,64 +225,17 @@ class ExhaustiveSearch : public SearchStrategy
     std::int64_t next_ = 0;
 };
 
-/** Random warmup, then greedy neighborhood refinement with random
- *  restarts on stall. */
-class HybridSearch : public SearchStrategy
-{
-  public:
-    /**
-     * @param warmup random candidates drawn before refinement starts
-     *        (also the restart batch size when refinement stalls).
-     */
-    HybridSearch(const MapSpace &space, std::uint64_t seed,
-                 std::int64_t warmup);
-
-    const char *name() const override { return "hybrid"; }
-    std::vector<SearchCandidate> propose(int max_count) override;
-    void observe(const std::vector<SearchCandidate> &batch,
-                 const std::vector<double> &objectives) override;
-    /** Seeded points are proposed ahead of the random warmup; an
-     *  improving one becomes the first refinement incumbent. */
-    void warmStart(const std::vector<MapSpace::Point> &points) override;
-
-  private:
-    std::vector<SearchCandidate> proposeRandom(int count);
-
-    const MapSpace &space_;
-    std::uint64_t seed_;
-    std::int64_t warmup_;          ///< random window size (warmup/restart)
-    std::int64_t random_left_ = 0; ///< random proposals left in window
-    std::int64_t next_ = 0;        ///< next proposal index
-    std::int64_t next_seed_ = 0;   ///< next random sample offset
-    /**
-     * Refinement-round state. A round fixes the incumbent's full
-     * neighborhood up front and streams it out across propose() calls
-     * (`pending_` not yet proposed, `outstanding_` proposed but not
-     * yet observed); the improve-or-restart decision falls only at the
-     * round boundary. This keeps the proposal sequence — and hence the
-     * search result — independent of the driver's batch size.
-     */
-    std::vector<MapSpace::Point> pending_;
-    std::int64_t outstanding_ = 0;
-    bool round_improved_ = false;
-    bool refining_ = false;        ///< last batch was a neighborhood
-    std::optional<MapSpace::Point> incumbent_;
-    double incumbent_obj_ = 0.0;
-    /** Warm-start points not yet proposed (served before warmup). */
-    std::vector<MapSpace::Point> warm_pending_;
-};
-
 /**
- * Shared machinery for strategies that evaluate fixed-size rounds of
- * `MapSpace::Point`s in lockstep (annealing rounds, genetic
- * generations). A round's points are fixed up front by `buildRound`
- * and streamed out across `propose` calls; `roundComplete` fires once
- * every point of the round has been observed, so all state updates
- * fall at round boundaries and the proposal sequence — hence the
- * search result — is independent of the driver's batch size. On a
- * mapspace whose tiling axes exceed the materialization limits
- * (`!MapSpace::pointEncodable()`), the strategy degenerates to seeded
- * random sampling, mirroring `HybridSearch`.
+ * Shared machinery for strategies that evaluate rounds of
+ * `MapSpace::Point`s (hybrid windows and neighborhoods, annealing
+ * rounds, genetic generations, hierarchical sweeps). A round's points
+ * are fixed up front by `buildRound` and streamed out across `propose`
+ * calls; `roundComplete` fires once every point of the round has been
+ * observed, so all state updates fall at round boundaries and the
+ * proposal sequence — hence the search result — is independent of
+ * the driver's batch size. On a mapspace whose tiling axes exceed the
+ * materialization limits (`!MapSpace::pointEncodable()`), the strategy
+ * warns once and degenerates to `RandomSearch`'s seeded sampling.
  */
 class RoundStrategy : public SearchStrategy
 {
@@ -310,6 +268,44 @@ class RoundStrategy : public SearchStrategy
     std::size_t round_observed_ = 0;
     std::int64_t next_ = 0;       ///< next proposal index
     std::int64_t next_seed_ = 0;  ///< next random sample offset
+};
+
+/**
+ * Random windows and greedy neighborhood refinement over
+ * `MapSpace::Point` coordinates. The first round is a random window of
+ * `warmup` seeded samples, led by any warm-start points; each later
+ * round is the incumbent's full `MapSpace::neighbors`. A neighborhood
+ * round with no strictly better point (a local optimum), or an empty
+ * neighborhood, is followed by another random window. The incumbent
+ * is the first point with the lowest objective seen so far and
+ * survives every window.
+ */
+class HybridSearch : public RoundStrategy
+{
+  public:
+    /**
+     * @param warmup seeded samples per random window (the warmup and
+     *        every restart).
+     */
+    HybridSearch(const MapSpace &space, std::uint64_t seed,
+                 std::int64_t warmup);
+
+    const char *name() const override { return "hybrid"; }
+    /** Seeded points lead the first random window; an improving one
+     *  becomes the first refinement incumbent. */
+    void warmStart(const std::vector<MapSpace::Point> &points) override;
+
+  protected:
+    void buildRound(std::vector<MapSpace::Point> &out) override;
+    void roundComplete(const std::vector<MapSpace::Point> &points,
+                       const std::vector<double> &objectives) override;
+
+  private:
+    std::int64_t warmup_;
+    std::vector<MapSpace::Point> warm_points_;
+    std::optional<MapSpace::Point> incumbent_;
+    double incumbent_obj_;
+    bool stalled_ = false;  ///< last neighborhood round did not improve
 };
 
 /**

@@ -5,14 +5,16 @@
  * mapper, exhaustive optimality on small spaces, constraint honoring
  * under every strategy, per-strategy determinism across repeated runs
  * and 1/4/8 evaluation threads (annealing and genetic included),
- * batch-size independence of the round-streamed strategies, warm
- * starts through WarmStartPool, and the distinguishable all-invalid
- * outcome.
+ * batch-size independence of the round-streamed strategies, pinned
+ * hybrid results, the fallback of every round-based strategy to
+ * random search on a non-encodable space, warm starts through
+ * WarmStartPool, and the distinguishable all-invalid outcome.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <random>
 
@@ -339,6 +341,114 @@ TEST(SearchStrategies, HybridResultIsBatchSizeIndependent)
     // batch_size affects wall-clock only: the proposal sequence and
     // the refinement-round boundaries must not depend on it.
     expectIdentical(big, small);
+}
+
+std::uint64_t
+doubleBits(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+TEST(SearchStrategies, HybridResultsArePinned)
+{
+    // Fixed outcomes of the hybrid proposal sequence (warm points,
+    // random windows, neighborhood rounds), so a change to that
+    // sequence cannot pass as "still deterministic".
+    struct Pinned
+    {
+        std::uint64_t seed;
+        bool warm;
+        std::uint64_t signature;
+        std::int64_t valid;
+        std::uint64_t edp_bits;
+    };
+    const Pinned pinned[] = {
+        {1, false, 0x72d06c835b6b10d2ull, 295, 0x4258180000000000ull},
+        {1, true, 0x72d06c835b6b10d2ull, 295, 0x4258180000000000ull},
+        {0xC0FFEE, false, 0x1b28b051012aae87ull, 297, 0x4258180000000000ull},
+        {0xC0FFEE, true, 0xea00b94fd4c9d2e5ull, 288, 0x425e973333333333ull},
+    };
+    // 64^3 leaves some candidates over capacity, so the valid count
+    // discriminates too.
+    Workload w = makeMatmul(64, 64, 64);
+    Architecture arch = searchArch();
+    SafSpec none;
+    for (const Pinned &p : pinned) {
+        for (int batch : {1, 256}) {
+            MapperOptions opts;
+            opts.samples = 300;
+            opts.seed = p.seed;
+            opts.strategy = SearchStrategyKind::Hybrid;
+            opts.batch_size = batch;
+            if (p.warm) {
+                // Elites of three disjoint random streams.
+                auto pool = std::make_shared<WarmStartPool>();
+                for (std::uint64_t s : {1000, 2000, 3000}) {
+                    MapperOptions fill;
+                    fill.samples = 60;
+                    fill.seed = s;
+                    fill.strategy = SearchStrategyKind::Random;
+                    fill.warm_start = pool;
+                    Mapper(w, arch, none, fill).search();
+                }
+                opts.warm_start = pool;
+            }
+            MapperResult r = Mapper(w, arch, none, opts).search();
+            SCOPED_TRACE("seed=" + std::to_string(p.seed) +
+                         " warm=" + std::to_string(p.warm) +
+                         " batch=" + std::to_string(batch));
+            ASSERT_TRUE(r.found);
+            EXPECT_EQ(r.warm_start_candidates, p.warm ? 3 : 0);
+            EXPECT_EQ(r.mapping.signature(), p.signature);
+            EXPECT_EQ(r.candidates_valid, p.valid);
+            EXPECT_EQ(doubleBits(r.eval.edp()), p.edp_bits);
+        }
+    }
+}
+
+TEST(SearchStrategies, NonEncodableSpaceFallsBackToRandomSearch)
+{
+    // With two splits materialized per dimension, 64 = 2^6 has too
+    // many tilings to encode as points: every neighborhood strategy
+    // must then return exactly what RandomSearch returns.
+    Workload w = makeMatmul(64, 64, 64);
+    Architecture arch = searchArch();
+    SafSpec none;
+    MapperOptions opts;
+    opts.samples = 200;
+    opts.mapspace.max_splits_per_dim = 2;
+    ASSERT_FALSE(MapSpace(w, arch, {}, opts.mapspace).pointEncodable());
+    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xC0FFEE}}) {
+        opts.seed = seed;
+        opts.strategy = SearchStrategyKind::Random;
+        MapperResult random = Mapper(w, arch, none, opts).search();
+        ASSERT_TRUE(random.found);
+        for (SearchStrategyKind kind :
+             {SearchStrategyKind::Hybrid, SearchStrategyKind::Annealing,
+              SearchStrategyKind::Genetic,
+              SearchStrategyKind::Hierarchical}) {
+            opts.strategy = kind;
+            MapperResult r = Mapper(w, arch, none, opts).search();
+            SCOPED_TRACE("seed=" + std::to_string(seed) +
+                         " strategy=" + r.strategy);
+            ASSERT_TRUE(r.found);
+            EXPECT_EQ(r.mapping, random.mapping);
+            EXPECT_EQ(r.candidates_valid, random.candidates_valid);
+            EXPECT_EQ(doubleBits(r.eval.edp()),
+                      doubleBits(random.eval.edp()));
+            // The fronts carry proposal indices, so they also pin the
+            // index -> candidate sequence, not just the winner.
+            ASSERT_EQ(r.pareto_front.size(), random.pareto_front.size());
+            for (std::size_t i = 0; i < r.pareto_front.size(); ++i) {
+                EXPECT_EQ(r.pareto_front[i].index,
+                          random.pareto_front[i].index);
+                EXPECT_EQ(r.pareto_front[i].mapping,
+                          random.pareto_front[i].mapping);
+            }
+        }
+    }
 }
 
 TEST(SearchStrategies, RoundStrategiesAreBatchSizeIndependent)

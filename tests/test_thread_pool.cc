@@ -195,22 +195,6 @@ TEST(ThreadPool, ZeroHelperPoolRunsInline)
     expectExactlyOnce(pool, 8, 100);
 }
 
-TEST(ThreadPool, RunOnThreadsCoversEveryIndex)
-{
-    std::vector<std::atomic<int>> hits(6);
-    for (auto &h : hits) {
-        h.store(0);
-    }
-    runOnThreads(6, [&](int t) { hits[static_cast<std::size_t>(t)]
-                                     .fetch_add(1); });
-    for (std::size_t t = 0; t < hits.size(); ++t) {
-        EXPECT_EQ(hits[t].load(), 1) << "thread index " << t;
-    }
-    int solo = -1;
-    runOnThreads(1, [&](int t) { solo = t; });
-    EXPECT_EQ(solo, 0);
-}
-
 TEST(ThreadPool, ResolveThreadCount)
 {
     // 0 / negative = hardware concurrency; capped by the job count;
