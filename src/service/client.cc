@@ -1,7 +1,7 @@
 /**
  * @file
  * ServiceClient implementation: blocking framed RPC over a TCP
- * socket, mirroring the server's readFull/writeFull discipline.
+ * socket, on the server's readFull/writeFull loops.
  */
 
 #include "service/client.hh"
@@ -16,47 +16,6 @@
 #include <cstring>
 
 namespace sparseloop {
-
-namespace {
-
-void
-readFullOrThrow(int fd, std::uint8_t *buf, std::size_t n)
-{
-    std::size_t got = 0;
-    while (got < n) {
-        ssize_t r = ::read(fd, buf + got, n - got);
-        if (r == 0) {
-            throw ServiceError("server closed the connection");
-        }
-        if (r < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw ServiceError(std::string("read failed: ") +
-                               std::strerror(errno));
-        }
-        got += static_cast<std::size_t>(r);
-    }
-}
-
-void
-writeFullOrThrow(int fd, const std::uint8_t *buf, std::size_t n)
-{
-    std::size_t sent = 0;
-    while (sent < n) {
-        ssize_t r = ::write(fd, buf + sent, n - sent);
-        if (r < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw ServiceError(std::string("write failed: ") +
-                               std::strerror(errno));
-        }
-        sent += static_cast<std::size_t>(r);
-    }
-}
-
-} // namespace
 
 ServiceClient::~ServiceClient()
 {
@@ -112,14 +71,16 @@ ServiceClient::roundTrip(FrameType type,
         throw ServiceError("client is not connected");
     }
     std::vector<std::uint8_t> frame = encodeFrame(type, payload);
-    writeFullOrThrow(fd_, frame.data(), frame.size());
+    writeFull(fd_, frame.data(), frame.size());
 
     std::uint8_t header[kFrameHeaderBytes];
-    readFullOrThrow(fd_, header, sizeof(header));
+    if (!readFull(fd_, header, sizeof(header))) {
+        throw ServiceError("server closed the connection");
+    }
     FrameHeader h = decodeFrameHeader(header);
     std::vector<std::uint8_t> body(h.payload_size);
-    if (h.payload_size > 0) {
-        readFullOrThrow(fd_, body.data(), body.size());
+    if (h.payload_size > 0 && !readFull(fd_, body.data(), body.size())) {
+        throw ServiceError("server closed the connection");
     }
     if (h.type == FrameType::kError) {
         WireReader r(body.data(), body.size());

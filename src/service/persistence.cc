@@ -44,17 +44,55 @@ fnv1a(const std::uint8_t *data, std::size_t n)
     return h;
 }
 
+/** Append one record: kind, length, checksum, then @p body's fields. */
+template <typename... Body>
 void
-appendRecord(WireWriter &out, RecordKind kind,
-             const std::vector<std::uint8_t> &payload)
+appendRecord(WireWriter &out, RecordKind kind, const Body &...body)
 {
+    WireWriter payload;
+    payload(body...);
     out.u8(kind);
     out.u32(static_cast<std::uint32_t>(payload.size()));
-    out.u64(fnv1a(payload.data(), payload.size()));
-    out.bytes(payload.data(), payload.size());
+    out.u64(fnv1a(payload.buffer().data(), payload.size()));
+    out.bytes(payload.buffer().data(), payload.size());
+}
+
+/** Decode one whole record payload. */
+template <typename Record>
+Record
+decodeRecord(WireReader &body, const char *what)
+{
+    Record record = decode<Record>(body);
+    body.expectDone(what);
+    return record;
 }
 
 } // namespace
+
+/** @name Snapshot record field lists (the entry hash is recomputed on
+ *  load, never stored).
+ *  @{ */
+template <typename A>
+void
+fields(A &a, EvalCache::ResultEntry &entry)
+{
+    a(entry.key, entry.result);
+}
+
+template <typename A>
+void
+fields(A &a, EvalCache::DenseEntry &entry)
+{
+    a(entry.key, entry.dense);
+}
+
+template <typename A>
+void
+fields(A &a, WarmStartPool::Elite &elite)
+{
+    a(elite.objective, elite.metrics, elite.mapping);
+}
+/** @} */
 
 SnapshotStats
 saveSnapshot(const std::string &path, const EvalCache &cache,
@@ -67,30 +105,20 @@ saveSnapshot(const std::string &path, const EvalCache &cache,
     out.u64(kEndianSentinel);
 
     for (const EvalCache::ResultEntry &entry : cache.exportResults()) {
-        WireWriter body;
-        encode(body, entry.key);
-        encode(body, *entry.result);
-        appendRecord(out, kResultRecord, body.buffer());
+        appendRecord(out, kResultRecord, entry);
         ++stats.result_entries;
     }
     for (const EvalCache::DenseEntry &entry : cache.exportDenses()) {
-        WireWriter body;
-        encode(body, entry.key);
-        encode(body, *entry.dense);
-        appendRecord(out, kDenseRecord, body.buffer());
+        appendRecord(out, kDenseRecord, entry);
         ++stats.dense_entries;
     }
     if (pool != nullptr) {
         for (const WarmStartPool::Elite &elite : pool->exportElites()) {
-            WireWriter body;
-            body.f64(elite.objective);
-            encode(body, elite.metrics);
-            encode(body, elite.mapping);
-            appendRecord(out, kEliteRecord, body.buffer());
+            appendRecord(out, kEliteRecord, elite);
             ++stats.elites;
         }
     }
-    appendRecord(out, kEndRecord, {});
+    appendRecord(out, kEndRecord);
 
     // Assemble-then-rename: a crash mid-write leaves the previous
     // snapshot (if any) intact, never a half-written file at `path`.
@@ -179,28 +207,25 @@ loadSnapshot(const std::string &path, EvalCache &cache,
             WireReader body(payload, len);
             switch (kind) {
             case kResultRecord: {
-                EvalKey key = decodeEvalKey(body);
-                auto result = std::make_shared<const EvalResult>(
-                    decodeEvalResult(body));
-                body.expectDone("snapshot result record");
-                results.push_back({key, key.hash(), std::move(result)});
+                auto entry = decodeRecord<EvalCache::ResultEntry>(
+                    body, "snapshot result record");
+                entry.hash = entry.key.hash();
+                results.push_back(std::move(entry));
                 break;
             }
             case kDenseRecord: {
-                DenseKey key = decodeDenseKey(body);
-                auto dense = std::make_shared<const DenseTraffic>(
-                    decodeDenseTraffic(body));
-                body.expectDone("snapshot dense record");
-                denses.push_back({key, key.hash(), std::move(dense)});
+                auto entry = decodeRecord<EvalCache::DenseEntry>(
+                    body, "snapshot dense record");
+                entry.hash = entry.key.hash();
+                denses.push_back(std::move(entry));
                 break;
             }
             case kEliteRecord: {
-                double objective = body.f64();
-                MetricVector metrics = decodeMetricVector(body);
-                Mapping mapping = decodeMapping(body);
-                body.expectDone("snapshot elite record");
+                auto elite = decodeRecord<WarmStartPool::Elite>(
+                    body, "snapshot elite record");
                 if (pool != nullptr) {
-                    pool->record(mapping, metrics, objective);
+                    pool->record(elite.mapping, elite.metrics,
+                                 elite.objective);
                     ++stats.elites;
                 }
                 break;

@@ -15,8 +15,9 @@
  *       1   kind          1 result | 2 dense | 3 elite | 0xFF end
  *       4   length        payload byte count
  *       8   checksum      FNV-1a 64 over the payload bytes
- *       n   payload       kind-specific body (wire.hh codecs)
- *     end record: kind 0xFF, length 0, checksum 0 (no payload)
+ *       n   payload       kind-specific body (a field list in
+ *                         persistence.cc, encoded per wire.hh)
+ *     end record: kind 0xFF, length 0, the empty payload's checksum
  *
  * Trust model: the file is *verified, never trusted*. A snapshot with
  * a wrong magic, version, or endianness sentinel is rejected whole. A

@@ -20,9 +20,10 @@
  * failures come back as a `kError` frame carrying a message, and the
  * client surfaces them as `ServiceError` exceptions.
  *
- * Request/response payload schemas live in the structs below; each has
- * an `encodePayload` and a static `decodePayload` that must consume
- * the payload exactly (trailing bytes are a protocol error).
+ * Request/response payload schemas live in the structs below, each
+ * with its field list (service/wire.hh); the `Payload` base turns that
+ * list into `encodePayload` and a static `decodePayload` that must
+ * consume the payload exactly (trailing bytes are a protocol error).
  */
 
 #ifndef SPARSELOOP_SERVICE_PROTOCOL_HH
@@ -91,32 +92,71 @@ FrameHeader decodeFrameHeader(const std::uint8_t *bytes);
 // Payload schemas
 // ---------------------------------------------------------------------------
 
-/** Evaluate a batch of mappings against one named server context. */
-struct EvaluateBatchRequest
+/**
+ * The two codec members of every payload struct, built from the
+ * struct's field list. `Derived` names itself in `kName` (used in
+ * trailing-bytes errors) and may hide `check` to validate a decoded
+ * value beyond its layout.
+ */
+template <typename Derived>
+struct Payload
 {
-    std::string context;
-    std::vector<Mapping> mappings;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        WireWriter w;
+        w(static_cast<const Derived &>(*this));
+        return w.take();
+    }
 
-    std::vector<std::uint8_t> encodePayload() const;
-    static EvaluateBatchRequest decodePayload(WireReader &r);
+    static Derived decodePayload(WireReader &r)
+    {
+        Derived payload;
+        r(payload);
+        payload.check();
+        r.expectDone(Derived::kName);
+        return payload;
+    }
+
+    void check() const {}
 };
 
-/** One `EvalResult` per requested mapping, in request order. */
-struct EvaluateBatchReply
+/** Evaluate a batch of mappings against one named server context. */
+struct EvaluateBatchRequest : Payload<EvaluateBatchRequest>
 {
+    static constexpr const char *kName = "EvaluateBatchRequest";
+    std::string context;
+    std::vector<Mapping> mappings;
+};
+
+template <typename A>
+void
+fields(A &a, EvaluateBatchRequest &p)
+{
+    a(p.context, p.mappings);
+}
+
+/** One `EvalResult` per requested mapping, in request order. */
+struct EvaluateBatchReply : Payload<EvaluateBatchReply>
+{
+    static constexpr const char *kName = "EvaluateBatchReply";
     std::vector<EvalResult> results;
     /** Work-sharing accounting of the server-side batch. */
     std::int64_t points = 0;
     std::int64_t unique_points = 0;
     std::int64_t dense_groups = 0;
-
-    std::vector<std::uint8_t> encodePayload() const;
-    static EvaluateBatchReply decodePayload(WireReader &r);
 };
 
-/** Run a mapspace search on one named server context. */
-struct SearchRequest
+template <typename A>
+void
+fields(A &a, EvaluateBatchReply &p)
 {
+    a(p.results, p.points, p.unique_points, p.dense_groups);
+}
+
+/** Run a mapspace search on one named server context. */
+struct SearchRequest : Payload<SearchRequest>
+{
+    static constexpr const char *kName = "SearchRequest";
     std::string context;
     std::uint32_t samples = 2000;
     std::uint64_t seed = 0xC0FFEE;
@@ -135,13 +175,23 @@ struct SearchRequest
      */
     bool use_warm_start = false;
 
-    std::vector<std::uint8_t> encodePayload() const;
-    static SearchRequest decodePayload(WireReader &r);
+    /** Refuse counts above INT_MAX (the session casts them to int)
+     *  and unknown strategy ids. */
+    void check() const;
 };
 
-/** The wire subset of `MapperResult` (see docs/service.md). */
-struct SearchReply
+template <typename A>
+void
+fields(A &a, SearchRequest &p)
 {
+    a(p.context, p.samples, p.seed, p.strategy, p.batch_size, p.threads,
+      p.use_warm_start);
+}
+
+/** The wire subset of `MapperResult` (see docs/service.md). */
+struct SearchReply : Payload<SearchReply>
+{
+    static constexpr const char *kName = "SearchReply";
     bool found = false;
     /** Cast of `SearchStatus`. */
     std::uint8_t status = 0;
@@ -151,14 +201,20 @@ struct SearchReply
     std::int64_t candidates_valid = 0;
     std::int64_t warm_start_candidates = 0;
     std::string strategy;
-
-    std::vector<std::uint8_t> encodePayload() const;
-    static SearchReply decodePayload(WireReader &r);
 };
 
-/** Daemon-wide cache/pool observability counters. */
-struct CacheStatsReply
+template <typename A>
+void
+fields(A &a, SearchReply &p)
 {
+    a(p.found, p.status, p.mapping, p.eval, p.candidates_evaluated,
+      p.candidates_valid, p.warm_start_candidates, p.strategy);
+}
+
+/** Daemon-wide cache/pool observability counters. */
+struct CacheStatsReply : Payload<CacheStatsReply>
+{
+    static constexpr const char *kName = "CacheStatsReply";
     std::int64_t result_hits = 0;
     std::int64_t result_misses = 0;
     std::int64_t dense_hits = 0;
@@ -169,28 +225,44 @@ struct CacheStatsReply
     std::uint32_t warm_elites = 0;
     /** Entries restored from the snapshot at daemon start. */
     std::uint64_t restored_entries = 0;
-
-    std::vector<std::uint8_t> encodePayload() const;
-    static CacheStatsReply decodePayload(WireReader &r);
 };
+
+template <typename A>
+void
+fields(A &a, CacheStatsReply &p)
+{
+    a(p.result_hits, p.result_misses, p.dense_hits, p.dense_misses,
+      p.result_entries, p.dense_entries, p.contexts, p.warm_elites,
+      p.restored_entries);
+}
 
 /** The server's registered context names. */
-struct ContextListReply
+struct ContextListReply : Payload<ContextListReply>
 {
+    static constexpr const char *kName = "ContextListReply";
     std::vector<std::string> names;
-
-    std::vector<std::uint8_t> encodePayload() const;
-    static ContextListReply decodePayload(WireReader &r);
 };
+
+template <typename A>
+void
+fields(A &a, ContextListReply &p)
+{
+    a(p.names);
+}
 
 /** `kError` payload: a human-readable failure message. */
-struct ErrorReply
+struct ErrorReply : Payload<ErrorReply>
 {
+    static constexpr const char *kName = "ErrorReply";
     std::string message;
-
-    std::vector<std::uint8_t> encodePayload() const;
-    static ErrorReply decodePayload(WireReader &r);
 };
+
+template <typename A>
+void
+fields(A &a, ErrorReply &p)
+{
+    a(p.message);
+}
 
 } // namespace sparseloop
 

@@ -20,10 +20,6 @@
 
 namespace sparseloop {
 
-namespace {
-
-/** read(2) until @p n bytes or EOF; false on clean EOF at offset 0,
- *  throws on a mid-message EOF or a hard error. */
 bool
 readFull(int fd, std::uint8_t *buf, std::size_t n)
 {
@@ -64,8 +60,6 @@ writeFull(int fd, const std::uint8_t *buf, std::size_t n)
         sent += static_cast<std::size_t>(r);
     }
 }
-
-} // namespace
 
 ServiceServer::ServiceServer(std::shared_ptr<ServiceRegistry> registry,
                              ServerOptions options)
@@ -175,7 +169,7 @@ ServiceServer::connectionLoop(int fd)
             } catch (const ProtocolError &e) {
                 // The stream is out of sync (or a foreign client):
                 // answer once, then drop the connection.
-                ErrorReply reply{e.what()};
+                ErrorReply reply{{}, e.what()};
                 auto frame = encodeFrame(FrameType::kError,
                                          reply.encodePayload());
                 writeFull(fd, frame.data(), frame.size());

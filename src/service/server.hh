@@ -47,6 +47,18 @@ class ServiceError : public std::runtime_error
     {}
 };
 
+/**
+ * read(2) exactly @p n bytes, retrying EINTR. Returns false when the
+ * peer closed the stream before the first byte (a clean EOF between
+ * frames); throws `ServiceError` on an EOF mid-message or a read
+ * error.
+ */
+bool readFull(int fd, std::uint8_t *buf, std::size_t n);
+
+/** write(2) all @p n bytes, retrying EINTR; throws `ServiceError` on
+ *  a write error. */
+void writeFull(int fd, const std::uint8_t *buf, std::size_t n);
+
 /** Daemon knobs. */
 struct ServerOptions
 {

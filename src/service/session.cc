@@ -17,7 +17,7 @@ namespace {
 std::vector<std::uint8_t>
 errorFrame(const std::string &message)
 {
-    ErrorReply reply{message};
+    ErrorReply reply{{}, message};
     return encodeFrame(FrameType::kError, reply.encodePayload());
 }
 
@@ -124,7 +124,7 @@ handleRequest(const ServiceRegistry &registry, FrameType type,
         case FrameType::kCacheStats:
             return handleCacheStats(registry, restored_entries);
         case FrameType::kListContexts: {
-            ContextListReply reply{registry.names()};
+            ContextListReply reply{{}, registry.names()};
             return encodeFrame(FrameType::kContextList,
                                reply.encodePayload());
         }
@@ -140,6 +140,10 @@ handleRequest(const ServiceRegistry &registry, FrameType type,
         return errorFrame(std::string("malformed request: ") + e.what());
     } catch (const FatalError &e) {
         return errorFrame(std::string("evaluation failed: ") + e.what());
+    } catch (const ProtocolError &e) {
+        // Only encodeFrame throws it here: the reply (a huge batch)
+        // outgrew the frame bound. Fail the request, not the daemon.
+        return errorFrame(std::string("reply too large: ") + e.what());
     }
 }
 

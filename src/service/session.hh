@@ -29,8 +29,9 @@ struct SessionEffects
  * Handle one request frame against @p registry and return the
  * complete encoded response frame. Never throws for request-level
  * failures — an unknown context, a mapping the engine rejects, a
- * malformed payload — those come back as `kError` frames; programming
- * errors (bad_alloc et al.) still propagate.
+ * malformed payload, a reply too large for one frame — those come
+ * back as `kError` frames; programming errors (bad_alloc et al.) still
+ * propagate.
  *
  * @param restored_entries surfaced in cache-stats replies (the
  *        daemon's snapshot-restore count; pass 0 without persistence).

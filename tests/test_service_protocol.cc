@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
+#include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <limits>
 
 #include "model/engine.hh"
+#include "service/persistence.hh"
 #include "service/protocol.hh"
 #include "service/registry.hh"
 #include "service/session.hh"
@@ -19,53 +23,78 @@
 namespace sparseloop {
 namespace {
 
-using Rng = std::mt19937_64;
+/** splitmix64. Unlike the std:: distributions, every value drawn here
+ *  is a fixed function of the seed under any standard library, so the
+ *  pinned-encoding corpus below is portable. */
+class Rng
+{
+  public:
+    explicit Rng(std::uint64_t seed) : state_(seed) {}
+
+    std::uint64_t operator()()
+    {
+        std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+        return z ^ (z >> 31);
+    }
+
+  private:
+    std::uint64_t state_;
+};
+
+/** An integer in [lo, hi]. */
+template <typename T>
+T
+pick(Rng &rng, T lo, T hi)
+{
+    return lo + static_cast<T>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
+}
 
 double
 randomDouble(Rng &rng)
 {
     // Mix magnitudes (incl. denormal-ish and huge) so the bit-pattern
     // encoding is exercised far beyond friendly values.
-    std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
-    std::uniform_int_distribution<int> exponent(-300, 300);
-    return std::ldexp(mantissa(rng), exponent(rng));
+    double mantissa =
+        static_cast<double>(static_cast<std::int64_t>(rng()) >> 11) *
+        0x1p-52;
+    return std::ldexp(mantissa, pick(rng, -300, 300));
 }
 
 std::string
 randomString(Rng &rng, std::size_t max_len = 24)
 {
-    std::uniform_int_distribution<std::size_t> len(0, max_len);
-    std::uniform_int_distribution<int> byte(0, 255);
-    std::string s(len(rng), '\0');
+    std::string s(pick<std::size_t>(rng, 0, max_len), '\0');
     for (char &c : s) {
-        c = static_cast<char>(byte(rng));  // arbitrary bytes, incl. NUL
+        c = static_cast<char>(rng() & 0xFF);  // arbitrary bytes, incl. NUL
     }
     return s;
+}
+
+bool
+coin(Rng &rng)
+{
+    return (rng() & 1) != 0;
 }
 
 Mapping
 randomMapping(Rng &rng)
 {
-    std::uniform_int_distribution<int> nlevels(1, 4);
-    std::uniform_int_distribution<int> nloops(0, 5);
-    std::uniform_int_distribution<int> dim(0, 6);
-    std::uniform_int_distribution<std::int64_t> bound(1, 1 << 20);
-    std::uniform_int_distribution<int> coin(0, 1);
-
-    std::vector<LevelNest> levels(nlevels(rng));
+    std::vector<LevelNest> levels(pick(rng, 1, 4));
     for (LevelNest &nest : levels) {
-        nest.loops.resize(nloops(rng));
+        nest.loops.resize(pick(rng, 0, 5));
         for (Loop &loop : nest.loops) {
-            loop.dim = dim(rng);
-            loop.bound = bound(rng);
-            loop.spatial = coin(rng) == 1;
+            loop.dim = pick(rng, 0, 6);
+            loop.bound = pick<std::int64_t>(rng, 1, 1 << 20);
+            loop.spatial = coin(rng);
         }
         // Half the time leave keep empty (keep-all); the codec must
         // preserve the empty-vs-explicit distinction.
-        if (coin(rng) == 1) {
+        if (coin(rng)) {
             nest.keep.resize(3);
             for (std::size_t t = 0; t < nest.keep.size(); ++t) {
-                nest.keep[t] = coin(rng) == 1;
+                nest.keep[t] = coin(rng);
             }
         }
     }
@@ -103,23 +132,28 @@ randomBreakdown(Rng &rng)
     return a;
 }
 
+std::vector<std::int64_t>
+randomInstances(Rng &rng)
+{
+    std::vector<std::int64_t> v(pick(rng, 1, 3));
+    for (std::int64_t &x : v) {
+        x = pick<std::int64_t>(rng, 1, 1 << 16);
+    }
+    return v;
+}
+
 DenseTraffic
 randomDenseTraffic(Rng &rng)
 {
-    std::uniform_int_distribution<std::size_t> small(1, 3);
-    std::uniform_int_distribution<std::size_t> ranks(0, 4);
-    std::uniform_int_distribution<std::int64_t> extent(1, 1 << 16);
-
     DenseTraffic dense;
-    std::size_t rows = small(rng);
-    std::size_t cols = small(rng);
-    dense.levels.assign(rows, cols);
+    std::size_t rows = pick(rng, 1, 3);
+    dense.levels.assign(rows, pick(rng, 1, 3));
     for (TensorLevelDense &t : dense.levels.flat()) {
-        t.kept = (rng() & 1) != 0;
+        t.kept = coin(rng);
         t.footprint = randomDouble(rng);
-        t.tile_extents.assign(ranks(rng), 0);
+        t.tile_extents.assign(pick(rng, 0, 4), 0);
         for (std::size_t i = 0; i < t.tile_extents.size(); ++i) {
-            t.tile_extents[i] = extent(rng);
+            t.tile_extents[i] = pick<std::int64_t>(rng, 1, 1 << 16);
         }
         t.fills = randomDouble(rng);
         t.reads = randomDouble(rng);
@@ -128,24 +162,17 @@ randomDenseTraffic(Rng &rng)
         t.drains = randomDouble(rng);
     }
     dense.computes = randomDouble(rng);
-    dense.instances.resize(small(rng));
-    for (std::int64_t &x : dense.instances) {
-        x = extent(rng);
-    }
-    dense.compute_instances = extent(rng);
+    dense.instances = randomInstances(rng);
+    dense.compute_instances = pick<std::int64_t>(rng, 1, 1 << 16);
     return dense;
 }
 
 SparseTraffic
 randomSparseTraffic(Rng &rng)
 {
-    std::uniform_int_distribution<std::size_t> small(1, 3);
-    std::uniform_int_distribution<std::int64_t> extent(1, 1 << 16);
-
     SparseTraffic sparse;
-    std::size_t rows = small(rng);
-    std::size_t cols = small(rng);
-    sparse.levels.assign(rows, cols);
+    std::size_t rows = pick(rng, 1, 3);
+    sparse.levels.assign(rows, pick(rng, 1, 3));
     for (TensorLevelSparse &t : sparse.levels.flat()) {
         t.reads = randomBreakdown(rng);
         t.fills = randomBreakdown(rng);
@@ -162,21 +189,16 @@ randomSparseTraffic(Rng &rng)
     }
     sparse.computes = randomBreakdown(rng);
     sparse.effectual_computes = randomDouble(rng);
-    sparse.instances.resize(small(rng));
-    for (std::int64_t &x : sparse.instances) {
-        x = extent(rng);
-    }
-    sparse.compute_instances = extent(rng);
+    sparse.instances = randomInstances(rng);
+    sparse.compute_instances = pick<std::int64_t>(rng, 1, 1 << 16);
     return sparse;
 }
 
 EvalResult
 randomEvalResult(Rng &rng)
 {
-    std::uniform_int_distribution<std::size_t> nlevels(0, 3);
-
     EvalResult result;
-    result.valid = (rng() & 1) != 0;
+    result.valid = coin(rng);
     result.invalid_reason = randomString(rng);
     result.cycles = randomDouble(rng);
     result.energy_pj = randomDouble(rng);
@@ -185,7 +207,7 @@ randomEvalResult(Rng &rng)
     result.compute_energy_pj = randomDouble(rng);
     result.compute_cycles = randomDouble(rng);
     result.compute_instances = static_cast<std::int64_t>(rng() >> 32);
-    result.levels.resize(nlevels(rng));
+    result.levels.resize(pick(rng, 0, 3));
     for (LevelResult &level : result.levels) {
         level.name = randomString(rng);
         level.cycles = randomDouble(rng);
@@ -242,7 +264,7 @@ TEST(ServiceWire, MappingRoundTripsExactly)
         Mapping m = randomMapping(rng);
         std::vector<std::uint8_t> bytes = encoded(m);
         WireReader r(bytes);
-        Mapping back = decodeMapping(r);
+        Mapping back = decode<Mapping>(r);
         EXPECT_TRUE(r.done());
         EXPECT_EQ(m, back);
     }
@@ -264,7 +286,7 @@ TEST(ServiceWire, MappingKeepMaskDistinctionSurvives)
     for (const Mapping &m : {implicit_map, explicit_map}) {
         std::vector<std::uint8_t> bytes = encoded(m);
         WireReader r(bytes);
-        EXPECT_EQ(m, decodeMapping(r));
+        EXPECT_EQ(m, decode<Mapping>(r));
     }
 }
 
@@ -275,13 +297,13 @@ TEST(ServiceWire, KeysRoundTripExactly)
         EvalKey ek = randomEvalKey(rng);
         std::vector<std::uint8_t> eb = encoded(ek);
         WireReader er(eb);
-        EXPECT_EQ(ek, decodeEvalKey(er));
+        EXPECT_EQ(ek, decode<EvalKey>(er));
         EXPECT_TRUE(er.done());
 
         DenseKey dk = randomDenseKey(rng);
         std::vector<std::uint8_t> db = encoded(dk);
         WireReader dr(db);
-        EXPECT_EQ(dk, decodeDenseKey(dr));
+        EXPECT_EQ(dk, decode<DenseKey>(dr));
         EXPECT_TRUE(dr.done());
     }
 }
@@ -293,7 +315,7 @@ TEST(ServiceWire, EvalResultRoundTripsBitIdentically)
         EvalResult result = randomEvalResult(rng);
         std::vector<std::uint8_t> bytes = encoded(result);
         WireReader r(bytes);
-        EvalResult back = decodeEvalResult(r);
+        EvalResult back = decode<EvalResult>(r);
         EXPECT_TRUE(r.done());
         EXPECT_TRUE(bitIdentical(result, back));
     }
@@ -306,7 +328,19 @@ TEST(ServiceWire, DenseTrafficRoundTripsExactly)
         DenseTraffic dense = randomDenseTraffic(rng);
         std::vector<std::uint8_t> bytes = encoded(dense);
         WireReader r(bytes);
-        EXPECT_EQ(dense, decodeDenseTraffic(r));
+        EXPECT_EQ(dense, decode<DenseTraffic>(r));
+        EXPECT_TRUE(r.done());
+    }
+}
+
+TEST(ServiceWire, SparseTrafficRoundTripsExactly)
+{
+    Rng rng(0x5BA5);
+    for (int i = 0; i < 100; ++i) {
+        SparseTraffic sparse = randomSparseTraffic(rng);
+        std::vector<std::uint8_t> bytes = encoded(sparse);
+        WireReader r(bytes);
+        EXPECT_EQ(sparse, decode<SparseTraffic>(r));
         EXPECT_TRUE(r.done());
     }
 }
@@ -318,7 +352,7 @@ TEST(ServiceWire, MetricVectorRoundTripsExactly)
         MetricVector m = randomMetricVector(rng);
         std::vector<std::uint8_t> bytes = encoded(m);
         WireReader r(bytes);
-        EXPECT_EQ(m, decodeMetricVector(r));
+        EXPECT_EQ(m, decode<MetricVector>(r));
         EXPECT_TRUE(r.done());
     }
 }
@@ -344,6 +378,148 @@ TEST(ServiceWire, NonFiniteDoublesRoundTrip)
 }
 
 // ---------------------------------------------------------------------------
+// Pinned encoding
+// ---------------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (std::uint8_t b : bytes) {
+        h = (h ^ b) * 0x100000001B3ull;
+    }
+    return h;
+}
+
+/** One of each wire payload, drawn from a fixed seed. */
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+pinnedCorpus()
+{
+    Rng rng(0x5EED);
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> out;
+    out.emplace_back("Mapping", encoded(randomMapping(rng)));
+    out.emplace_back("EvalKey", encoded(randomEvalKey(rng)));
+    out.emplace_back("DenseKey", encoded(randomDenseKey(rng)));
+    out.emplace_back("DenseTraffic", encoded(randomDenseTraffic(rng)));
+    out.emplace_back("SparseTraffic", encoded(randomSparseTraffic(rng)));
+    out.emplace_back("EvalResult", encoded(randomEvalResult(rng)));
+    out.emplace_back("MetricVector", encoded(randomMetricVector(rng)));
+
+    EvaluateBatchRequest batch;
+    batch.context = "bitmask";
+    batch.mappings = {randomMapping(rng), randomMapping(rng)};
+    out.emplace_back("EvaluateBatchRequest", batch.encodePayload());
+    EvaluateBatchReply results;
+    results.results = {randomEvalResult(rng), randomEvalResult(rng)};
+    results.points = 5;
+    results.unique_points = 4;
+    results.dense_groups = 3;
+    out.emplace_back("EvaluateBatchReply", results.encodePayload());
+    SearchRequest search;
+    search.context = "coord-list";
+    search.samples = 321;
+    search.seed = rng();
+    search.strategy = 3;
+    search.batch_size = 64;
+    search.threads = 2;
+    search.use_warm_start = true;
+    out.emplace_back("SearchRequest", search.encodePayload());
+    SearchReply found;
+    found.found = true;
+    found.status = 1;
+    found.mapping = randomMapping(rng);
+    found.eval = randomEvalResult(rng);
+    found.candidates_evaluated = 2000;
+    found.candidates_valid = 1500;
+    found.warm_start_candidates = 7;
+    found.strategy = "annealing";
+    out.emplace_back("SearchReply", found.encodePayload());
+    CacheStatsReply stats;
+    stats.result_hits = 1;
+    stats.result_misses = 2;
+    stats.dense_hits = 3;
+    stats.dense_misses = 4;
+    stats.result_entries = 5;
+    stats.dense_entries = 6;
+    stats.contexts = 7;
+    stats.warm_elites = 8;
+    stats.restored_entries = 9;
+    out.emplace_back("CacheStatsReply", stats.encodePayload());
+    ContextListReply names;
+    names.names = {"bitmask", "coord-list", ""};
+    out.emplace_back("ContextListReply", names.encodePayload());
+    ErrorReply error;
+    error.message = "unknown context 'x'";
+    out.emplace_back("ErrorReply", error.encodePayload());
+
+    // A snapshot of a cache and pool filled in a fixed order.
+    EvalCache cache;
+    std::vector<EvalCache::ResultEntry> result_entries;
+    std::vector<EvalCache::DenseEntry> dense_entries;
+    for (int i = 0; i < 3; ++i) {
+        EvalKey rk = randomEvalKey(rng);
+        result_entries.push_back(
+            {rk, rk.hash(),
+             std::make_shared<const EvalResult>(randomEvalResult(rng))});
+        DenseKey dk = randomDenseKey(rng);
+        dense_entries.push_back(
+            {dk, dk.hash(),
+             std::make_shared<const DenseTraffic>(randomDenseTraffic(rng))});
+    }
+    cache.storeResults(std::move(result_entries));
+    cache.storeDenses(std::move(dense_entries));
+    WarmStartPool pool;
+    for (int i = 0; i < 3; ++i) {
+        MetricVector metrics = randomMetricVector(rng);
+        pool.record(randomMapping(rng), metrics, metrics.values[0]);
+    }
+    const std::string path = testing::TempDir() + "/pinned.snap";
+    saveSnapshot(path, cache, &pool);
+    std::ifstream file(path, std::ios::binary);
+    out.emplace_back("snapshot",
+                     std::vector<std::uint8_t>(
+                         (std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>()));
+    std::remove(path.c_str());
+    return out;
+}
+
+TEST(ServiceWire, EncodingIsPinned)
+{
+    // The round-trip tests cannot see a layout change that both ends
+    // make together. These pins can: any field-list change fails here,
+    // and must come with a kProtocolVersion / kSnapshotVersion bump
+    // and new pins.
+    const std::vector<std::tuple<std::string, std::size_t, std::uint64_t>>
+        pins = {
+            {"Mapping", 77, 0x867809c47e79ad6aull},
+            {"EvalKey", 32, 0xfaf65de31e9a491bull},
+            {"DenseKey", 24, 0xe4ecfeace1517103ull},
+            {"DenseTraffic", 129, 0x577bd73a5e1aaa59ull},
+            {"SparseTraffic", 252, 0x46c6132f5dd973a8ull},
+            {"EvalResult", 1002, 0x29b0c5aaa4758ec8ull},
+            {"MetricVector", 40, 0x70f093ab23d98e03ull},
+            {"EvaluateBatchRequest", 194, 0xa288ae33db78ae91ull},
+            {"EvaluateBatchReply", 2697, 0xd4903908d249a826ull},
+            {"SearchRequest", 36, 0x3ab712df31415541ull},
+            {"SearchReply", 2111, 0x07cfbd1e647c807bull},
+            {"CacheStatsReply", 64, 0x5fbd3fd3070f7984ull},
+            {"ContextListReply", 33, 0x3287e59e744759eeull},
+            {"ErrorReply", 23, 0xee2de6eac9fb3757ull},
+            {"snapshot", 5383, 0x97735367a5e51c72ull},
+        };
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> corpus =
+        pinnedCorpus();
+    ASSERT_EQ(pins.size(), corpus.size());
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+        const auto &[name, bytes] = corpus[i];
+        EXPECT_EQ(std::get<0>(pins[i]), name);
+        EXPECT_EQ(std::get<1>(pins[i]), bytes.size()) << name;
+        EXPECT_EQ(std::get<2>(pins[i]), fnv1a(bytes)) << name;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Truncation and hostile inputs
 // ---------------------------------------------------------------------------
 
@@ -353,7 +529,7 @@ TEST(ServiceWire, TruncatedMappingAlwaysRejected)
     for (int i = 0; i < 10; ++i) {
         expectAllPrefixesRejected(
             encoded(randomMapping(rng)),
-            [](WireReader &r) { return decodeMapping(r); });
+            [](WireReader &r) { return decode<Mapping>(r); });
     }
 }
 
@@ -363,7 +539,7 @@ TEST(ServiceWire, TruncatedEvalResultAlwaysRejected)
     for (int i = 0; i < 3; ++i) {
         expectAllPrefixesRejected(
             encoded(randomEvalResult(rng)),
-            [](WireReader &r) { return decodeEvalResult(r); });
+            [](WireReader &r) { return decode<EvalResult>(r); });
     }
 }
 
@@ -372,10 +548,10 @@ TEST(ServiceWire, TruncatedKeysAlwaysRejected)
     Rng rng(0x7A13);
     expectAllPrefixesRejected(
         encoded(randomEvalKey(rng)),
-        [](WireReader &r) { return decodeEvalKey(r); });
+        [](WireReader &r) { return decode<EvalKey>(r); });
     expectAllPrefixesRejected(
         encoded(randomDenseKey(rng)),
-        [](WireReader &r) { return decodeDenseKey(r); });
+        [](WireReader &r) { return decode<DenseKey>(r); });
 }
 
 TEST(ServiceWire, GiantElementCountRejectedBeforeAllocation)
@@ -387,7 +563,7 @@ TEST(ServiceWire, GiantElementCountRejectedBeforeAllocation)
     w.u32(0xFFFFFFFFu);
     std::vector<std::uint8_t> bytes = w.take();
     WireReader r(bytes);
-    EXPECT_THROW(decodeMapping(r), WireError);
+    EXPECT_THROW(decode<Mapping>(r), WireError);
 }
 
 TEST(ServiceWire, GiantGridShapeRejected)
@@ -402,7 +578,7 @@ TEST(ServiceWire, GiantGridShapeRejected)
     }
     std::vector<std::uint8_t> bytes = w.take();
     WireReader r(bytes);
-    EXPECT_THROW(decodeDenseTraffic(r), WireError);
+    EXPECT_THROW(decode<DenseTraffic>(r), WireError);
 }
 
 TEST(ServiceWire, TrailingBytesDetected)
@@ -411,9 +587,164 @@ TEST(ServiceWire, TrailingBytesDetected)
     std::vector<std::uint8_t> bytes = encoded(randomEvalKey(rng));
     bytes.push_back(0);
     WireReader r(bytes);
-    decodeEvalKey(r);
+    decode<EvalKey>(r);
     EXPECT_FALSE(r.done());
     EXPECT_THROW(r.expectDone("eval key"), WireError);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded structure-aware mutation of every decode entry point
+// ---------------------------------------------------------------------------
+
+/**
+ * Call @p visit on mutants of the valid encoding @p bytes: every
+ * truncation; each count or length field — at the offsets in
+ * @p count_at, or at every 4-byte window when it is empty — set to
+ * 0xFFFFFFFF and to one more than the bytes after it (a count just
+ * past what could fit); and seeded single-byte flips.
+ */
+template <typename Visit>
+void
+forEachMutant(const std::vector<std::uint8_t> &bytes, std::uint64_t seed,
+              Visit visit, std::vector<std::size_t> count_at = {})
+{
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        visit(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + cut));
+    }
+    if (count_at.empty()) {
+        for (std::size_t at = 0; at + 4 <= bytes.size(); ++at) {
+            count_at.push_back(at);
+        }
+    }
+    for (std::size_t at : count_at) {
+        for (std::uint32_t value :
+             {0xFFFFFFFFu,
+              static_cast<std::uint32_t>(bytes.size() - at - 4 + 1)}) {
+            std::vector<std::uint8_t> mutant = bytes;
+            for (int i = 0; i < 4; ++i) {
+                mutant[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+            }
+            visit(mutant);
+        }
+    }
+    Rng rng(seed);
+    for (int i = 0; i < 256 && !bytes.empty(); ++i) {
+        std::vector<std::uint8_t> mutant = bytes;
+        mutant[pick<std::size_t>(rng, 0, bytes.size() - 1)] ^=
+            static_cast<std::uint8_t>(pick(rng, 1, 255));
+        visit(mutant);
+    }
+}
+
+TEST(ServiceWire, MutatedPayloadsDecodeOrRejectCleanly)
+{
+    using Decoder = void (*)(WireReader &);
+    const std::vector<std::pair<std::string, Decoder>> decoders = {
+        {"Mapping", [](WireReader &r) { decode<Mapping>(r); }},
+        {"EvalKey", [](WireReader &r) { decode<EvalKey>(r); }},
+        {"DenseKey", [](WireReader &r) { decode<DenseKey>(r); }},
+        {"DenseTraffic", [](WireReader &r) { decode<DenseTraffic>(r); }},
+        {"SparseTraffic", [](WireReader &r) { decode<SparseTraffic>(r); }},
+        {"EvalResult", [](WireReader &r) { decode<EvalResult>(r); }},
+        {"MetricVector", [](WireReader &r) { decode<MetricVector>(r); }},
+        {"EvaluateBatchRequest",
+         [](WireReader &r) { EvaluateBatchRequest::decodePayload(r); }},
+        {"EvaluateBatchReply",
+         [](WireReader &r) { EvaluateBatchReply::decodePayload(r); }},
+        {"SearchRequest",
+         [](WireReader &r) { SearchRequest::decodePayload(r); }},
+        {"SearchReply", [](WireReader &r) { SearchReply::decodePayload(r); }},
+        {"CacheStatsReply",
+         [](WireReader &r) { CacheStatsReply::decodePayload(r); }},
+        {"ContextListReply",
+         [](WireReader &r) { ContextListReply::decodePayload(r); }},
+        {"ErrorReply", [](WireReader &r) { ErrorReply::decodePayload(r); }},
+    };
+    auto corpus = pinnedCorpus();
+    corpus.pop_back();  // the snapshot: see the loadSnapshot test
+    ASSERT_EQ(decoders.size(), corpus.size());
+    for (std::size_t d = 0; d < decoders.size(); ++d) {
+        const auto &[name, decoder] = decoders[d];
+        const std::vector<std::uint8_t> &bytes = corpus[d].second;
+        ASSERT_EQ(name, corpus[d].first);
+        std::size_t rejected = 0;
+        forEachMutant(bytes, d, [&](const std::vector<std::uint8_t> &m) {
+            WireReader r(m);
+            try {
+                decoder(r);
+            } catch (const WireError &) {
+                ++rejected;
+            } catch (const ProtocolError &) {
+                ++rejected;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << name << ": " << e.what();
+            }
+        });
+        // Every truncation, at least, is rejected.
+        EXPECT_GE(rejected, bytes.size()) << name;
+    }
+}
+
+TEST(ServiceWire, MutatedSnapshotsLoadOrRejectCleanly)
+{
+    const std::vector<std::uint8_t> snapshot = pinnedCorpus().back().second;
+    const std::string path = testing::TempDir() + "/mutant.snap";
+    auto load = [&](const std::vector<std::uint8_t> &bytes) {
+        {
+            std::ofstream file(path, std::ios::binary | std::ios::trunc);
+            file.write(reinterpret_cast<const char *>(bytes.data()),
+                       static_cast<std::streamsize>(bytes.size()));
+        }
+        EvalCache cache;
+        WarmStartPool pool;
+        SnapshotStats stats;
+        EXPECT_NO_THROW(stats = loadSnapshot(path, cache, &pool));
+        EXPECT_LE(stats.totalEntries(), 9u);  // what the corpus saved
+    };
+
+    // Records follow a 20-byte file header; each is kind (1), length
+    // (4), checksum (8), then the payload.
+    constexpr std::size_t kFileHeader = 20, kRecordHeader = 13;
+    std::vector<std::size_t> length_at;
+    std::vector<std::pair<std::size_t, std::size_t>> first_of_kind;
+    std::vector<std::uint8_t> kinds_seen;
+    for (std::size_t at = kFileHeader; at < snapshot.size();) {
+        WireReader framing(snapshot.data() + at, kRecordHeader);
+        const std::uint8_t kind = framing.u8();
+        const std::size_t len = framing.u32();
+        length_at.push_back(at + 1);
+        if (len > 0 && std::find(kinds_seen.begin(), kinds_seen.end(),
+                                 kind) == kinds_seen.end()) {
+            kinds_seen.push_back(kind);
+            first_of_kind.emplace_back(at, len);
+        }
+        at += kRecordHeader + len;
+    }
+    ASSERT_EQ(3u, first_of_kind.size());
+
+    // The file as a whole: crash truncation, record lengths, flips.
+    forEachMutant(snapshot, 1, load, length_at);
+
+    // One record payload of each kind, its checksum recomputed so the
+    // mutation reaches the record decoder instead of the checksum.
+    for (const auto &[at, len] : first_of_kind) {
+        const auto body = snapshot.begin() +
+                          static_cast<std::ptrdiff_t>(at + kRecordHeader);
+        const std::size_t rest = at + kRecordHeader + len;
+        forEachMutant(
+            std::vector<std::uint8_t>(body,
+                                      body + static_cast<std::ptrdiff_t>(len)),
+            at, [&](const std::vector<std::uint8_t> &payload) {
+                WireWriter w;
+                w.bytes(snapshot.data(), at + 1);
+                w.u32(static_cast<std::uint32_t>(payload.size()));
+                w.u64(fnv1a(payload));
+                w.bytes(payload.data(), payload.size());
+                w.bytes(snapshot.data() + rest, snapshot.size() - rest);
+                load(w.buffer());
+            });
+    }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -564,6 +895,30 @@ TEST(ServiceProtocol, SessionRefusesNegativeSampleBudget)
     ASSERT_GE(reply.size(), kFrameHeaderBytes);
     EXPECT_EQ(decodeFrameHeader(reply.data()).type, FrameType::kError);
     EXPECT_FALSE(effects.wrote_cache);
+}
+
+TEST(ServiceProtocol, OversizedReplyComesBackAsError)
+{
+    ServiceRegistry registry;
+    for (ServiceContextSpec &spec : standardServiceContexts(8, 8, 8)) {
+        registry.addContext(std::move(spec));
+    }
+    EvaluateBatchRequest req;
+    req.context = "bitmask";
+    req.mappings.assign(40000, registry.find("bitmask")->spec.canonical);
+    std::vector<std::uint8_t> payload = req.encodePayload();
+    SessionEffects effects;
+    std::vector<std::uint8_t> reply =
+        handleRequest(registry, FrameType::kEvaluateBatch, payload.data(),
+                      payload.size(), effects);
+    ASSERT_GE(reply.size(), kFrameHeaderBytes);
+    EXPECT_EQ(decodeFrameHeader(reply.data()).type, FrameType::kError);
+    WireReader r(reply.data() + kFrameHeaderBytes,
+                 reply.size() - kFrameHeaderBytes);
+    std::string message = ErrorReply::decodePayload(r).message;
+    EXPECT_NE(message.find(std::to_string(kMaxFramePayload)),
+              std::string::npos)
+        << message;
 }
 
 TEST(ServiceProtocol, SearchReplyRoundTripsBitIdentically)

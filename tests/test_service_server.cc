@@ -270,6 +270,23 @@ TEST_F(ServiceServerTest, MalformedMappingComesBackInvalidNotFatal)
     client.ping();
 }
 
+TEST_F(ServiceServerTest, OversizedReplyComesBackAsErrorAndServingContinues)
+{
+    // 40,000 results encode past the 64 MiB frame bound; the daemon
+    // must answer with an error frame instead of dying.
+    ServiceClient client = connectClient();
+    std::vector<Mapping> mappings(
+        40000, registry_->find("bitmask")->spec.canonical);
+    try {
+        client.evaluateBatch("bitmask", mappings);
+        FAIL() << "expected ServiceError";
+    } catch (const ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find("64 MiB"), std::string::npos)
+            << e.what();
+    }
+    client.ping();
+}
+
 TEST_F(ServiceServerTest, CacheStatsReflectServedTraffic)
 {
     ServiceClient client = connectClient();
