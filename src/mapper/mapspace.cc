@@ -378,6 +378,19 @@ MapSpace::orderConstrained(int level) const
                 .loop_order.empty();
 }
 
+bool
+MapSpace::spatialCandidate(int level, int dim, std::int64_t factor) const
+{
+    if (factor <= 1 || factor > arch_.level(level).fanout) {
+        return false;
+    }
+    const LevelConstraint &con =
+        level_cons_[static_cast<std::size_t>(level)];
+    return con.spatial_dims.empty() ||
+           std::find(con.spatial_dims.begin(), con.spatial_dims.end(),
+                     dim) != con.spatial_dims.end();
+}
+
 std::vector<int>
 MapSpace::spatialCandidates(
     int level, const std::vector<std::int64_t> &factors) const
@@ -386,14 +399,8 @@ MapSpace::spatialCandidates(
     if (arch_.level(level).fanout <= 1) {
         return candidates;
     }
-    const LevelConstraint &con =
-        level_cons_[static_cast<std::size_t>(level)];
     for (int d = 0; d < dimCount(); ++d) {
-        std::int64_t f = factors[static_cast<std::size_t>(d)];
-        bool allowed = con.spatial_dims.empty() ||
-            std::find(con.spatial_dims.begin(), con.spatial_dims.end(),
-                      d) != con.spatial_dims.end();
-        if (f > 1 && f <= arch_.level(level).fanout && allowed) {
+        if (spatialCandidate(level, d, factors[static_cast<std::size_t>(d)])) {
             candidates.push_back(d);
         }
     }
@@ -1131,79 +1138,118 @@ MapSpace::crossover(const Point &a, const Point &b,
     return reconcile(std::move(child));
 }
 
+MapSpace::Neighborhood::Neighborhood(const MapSpace &space,
+                                     const Point &point)
+    : space_(space), point_(point)
+{
+    for (int d = 0; d < space_.dimCount(); ++d) {
+        tiling_ += tilingMoves(d);
+    }
+    const int S = space_.levelCount();
+    for (int l = 0; l < S; ++l) {
+        order_ += orderSwaps(l);
+        keep_ += keepAlternatives(l);
+        const int current = point_.spatial[static_cast<std::size_t>(l)];
+        for (int d = 0; d < space_.dimCount(); ++d) {
+            std::int64_t f =
+                space_.splits_[static_cast<std::size_t>(d)]
+                              [point_.tiling[static_cast<std::size_t>(d)]]
+                              [static_cast<std::size_t>(l)];
+            if (d != current && space_.spatialCandidate(l, d, f)) {
+                spatial_.emplace_back(l, d);
+            }
+        }
+    }
+}
+
+std::size_t
+MapSpace::Neighborhood::tilingMoves(int d) const
+{
+    auto idx = static_cast<std::int64_t>(
+        point_.tiling[static_cast<std::size_t>(d)]);
+    return (idx > 0 ? 1 : 0) + (idx + 1 < space_.splitCount(d) ? 1 : 0);
+}
+
+std::size_t
+MapSpace::Neighborhood::orderSwaps(int level) const
+{
+    std::size_t n = point_.order[static_cast<std::size_t>(level)].size();
+    return space_.orderConstrained(level) || n < 2 ? 0 : n - 1;
+}
+
+std::size_t
+MapSpace::Neighborhood::keepAlternatives(int level) const
+{
+    const auto &keeps =
+        space_.keep_choices_[static_cast<std::size_t>(level)];
+    return keeps.size() - 1;
+}
+
+MapSpace::Point
+MapSpace::Neighborhood::build(std::size_t i) const
+{
+    SL_ASSERT(i < size(), "neighbor index out of range");
+    Point p = point_;
+    if (i < tiling_) {
+        for (int d = 0;; ++d) {
+            std::size_t n = tilingMoves(d);
+            if (i < n) {
+                std::size_t &idx = p.tiling[static_cast<std::size_t>(d)];
+                idx = i == 0 && idx > 0 ? idx - 1 : idx + 1;
+                return space_.reconcile(std::move(p));
+            }
+            i -= n;
+        }
+    }
+    i -= tiling_;
+    if (i < order_) {
+        for (int l = 0;; ++l) {
+            std::size_t n = orderSwaps(l);
+            if (i < n) {
+                auto &order = p.order[static_cast<std::size_t>(l)];
+                std::swap(order[i], order[i + 1]);
+                return p;
+            }
+            i -= n;
+        }
+    }
+    i -= order_;
+    if (i < spatial_.size()) {
+        auto [l, d] = spatial_[i];
+        p.spatial[static_cast<std::size_t>(l)] = d;
+        return p;
+    }
+    i -= spatial_.size();
+    for (int l = 0;; ++l) {
+        std::size_t n = keepAlternatives(l);
+        if (i < n) {
+            std::size_t &k = p.keep[static_cast<std::size_t>(l)];
+            k = i < k ? i : i + 1;  // skip the current mask
+            return p;
+        }
+        i -= n;
+    }
+}
+
 std::optional<MapSpace::Point>
 MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
 {
-    std::vector<Point> moves = neighbors(point);
-    if (moves.empty()) {
+    Neighborhood moves(*this, point);
+    if (moves.size() == 0) {
         return std::nullopt;
     }
     std::uniform_int_distribution<std::size_t> pick(0, moves.size() - 1);
-    return std::move(moves[pick(rng)]);
+    return moves.build(pick(rng));
 }
 
 std::vector<MapSpace::Point>
 MapSpace::neighbors(const Point &point) const
 {
+    Neighborhood moves(*this, point);
     std::vector<Point> out;
-    const int S = levelCount();
-    auto factors = tilingFactors(point.tiling);
-
-    // Tiling moves: adjacent split per dimension.
-    for (int d = 0; d < dimCount(); ++d) {
-        std::size_t idx = point.tiling[static_cast<std::size_t>(d)];
-        for (int delta : {-1, 1}) {
-            std::int64_t next = static_cast<std::int64_t>(idx) + delta;
-            if (next < 0 || next >= splitCount(d)) {
-                continue;
-            }
-            Point p = point;
-            p.tiling[static_cast<std::size_t>(d)] =
-                static_cast<std::size_t>(next);
-            out.push_back(reconcile(std::move(p)));
-        }
-    }
-
-    // Permutation moves: adjacent transpositions at unconstrained
-    // levels.
-    for (int l = 0; l < S; ++l) {
-        if (orderConstrained(l)) {
-            continue;
-        }
-        const auto &order = point.order[static_cast<std::size_t>(l)];
-        for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-            Point p = point;
-            std::swap(p.order[static_cast<std::size_t>(l)][i],
-                      p.order[static_cast<std::size_t>(l)][i + 1]);
-            out.push_back(std::move(p));
-        }
-    }
-
-    // Spatial moves: every alternative candidate.
-    for (int l = 0; l < S; ++l) {
-        auto candidates =
-            spatialCandidates(l, factors[static_cast<std::size_t>(l)]);
-        for (int d : candidates) {
-            if (d == point.spatial[static_cast<std::size_t>(l)]) {
-                continue;
-            }
-            Point p = point;
-            p.spatial[static_cast<std::size_t>(l)] = d;
-            out.push_back(std::move(p));
-        }
-    }
-
-    // Keep moves: every alternative mask.
-    for (int l = 0; l < S; ++l) {
-        const auto &keeps = keep_choices_[static_cast<std::size_t>(l)];
-        for (std::size_t k = 0; k < keeps.size(); ++k) {
-            if (k == point.keep[static_cast<std::size_t>(l)]) {
-                continue;
-            }
-            Point p = point;
-            p.keep[static_cast<std::size_t>(l)] = k;
-            out.push_back(std::move(p));
-        }
+    out.reserve(moves.size());
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+        out.push_back(moves.build(i));
     }
     return out;
 }

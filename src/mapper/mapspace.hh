@@ -70,6 +70,7 @@
 #include <optional>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mapping/mapping.hh"
@@ -223,6 +224,13 @@ class MapSpace
         std::vector<int> spatial;
         /** Per level: index into the keep-mask choices. */
         std::vector<std::size_t> keep;
+
+        /** Memberwise equality of the four coordinate families. */
+        bool operator==(const Point &other) const
+        {
+            return tiling == other.tiling && order == other.order &&
+                   spatial == other.spatial && keep == other.keep;
+        }
     };
 
     MapSpace(const Workload &workload, const Architecture &arch,
@@ -329,11 +337,12 @@ class MapSpace
     std::optional<Point> encode(const Mapping &mapping) const;
 
     /**
-     * Single-axis moves from @p point: adjacent tiling splits per
-     * dimension (loop orders reconciled, spatial re-validated),
+     * Single-axis moves from @p point, in the one move order both this
+     * and `randomNeighbor` use: adjacent tiling splits per dimension
+     * (-1 before +1; loop orders reconciled, spatial re-validated),
      * adjacent transpositions of each unconstrained level order,
-     * alternative spatial picks, and alternative keep masks. Every
-     * neighbor is a valid in-space point.
+     * alternative spatial picks per level, and alternative keep masks
+     * per level. Every neighbor is a valid in-space point.
      */
     std::vector<Point> neighbors(const Point &point) const;
 
@@ -372,7 +381,9 @@ class MapSpace
     /**
      * A uniformly drawn entry of `neighbors(point)`, or `nullopt` for
      * an isolated point. Consumes @p rng exactly one draw when the
-     * neighborhood is non-empty (none otherwise).
+     * neighborhood is non-empty (none otherwise). The neighborhood is
+     * counted, not built: a draw costs one `Point` copy plus at most
+     * one `reconcile` (for a tiling move).
      */
     std::optional<Point> randomNeighbor(const Point &point,
                                         std::mt19937_64 &rng) const;
@@ -401,6 +412,46 @@ class MapSpace
     const MapSpaceOptions &options() const { return options_; }
 
   private:
+    /**
+     * The single-axis moves of one point, counted per family without
+     * building them, and numbered in the move order `neighbors`
+     * documents: `build(i)` returns the i-th neighbor. Views @p point,
+     * which must outlive it.
+     */
+    class Neighborhood
+    {
+      public:
+        Neighborhood(const MapSpace &space, const Point &point);
+
+        std::size_t size() const
+        {
+            return tiling_ + order_ + spatial_.size() + keep_;
+        }
+
+        /** The @p i -th neighbor; requires `i < size()`. */
+        Point build(std::size_t i) const;
+
+      private:
+        /** Adjacent splits of dimension @p d (-1 first, then +1). */
+        std::size_t tilingMoves(int d) const;
+        /** Adjacent transpositions at @p level (0 when constrained). */
+        std::size_t orderSwaps(int level) const;
+        /** Alternative keep masks at @p level. */
+        std::size_t keepAlternatives(int level) const;
+
+        const MapSpace &space_;
+        const Point &point_;
+        std::size_t tiling_ = 0;
+        std::size_t order_ = 0;
+        /** Spatial moves as (level, dimension), levels ascending. */
+        std::vector<std::pair<int, int>> spatial_;
+        std::size_t keep_ = 0;
+    };
+
+    /** Whether @p dim with @p factor at @p level may be the spatial
+     *  loop there. */
+    bool spatialCandidate(int level, int dim, std::int64_t factor) const;
+
     /** Spatial candidates at @p level given per-dim factors there,
      *  in ascending dimension order. */
     std::vector<int>

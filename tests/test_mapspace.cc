@@ -2,15 +2,19 @@
  * @file
  * Tests for the mapspace IR: constraint validation and pruning-by-
  * construction, exact size accounting, indexed enumeration, the
- * coordinate (Point) form, and empty-space detection.
+ * coordinate (Point) form with its neighbourhoods and random
+ * neighbour draws, and empty-space detection.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <random>
 #include <set>
 
+#include "apps/designs.hh"
+#include "apps/dnn_models.hh"
 #include "common/logging.hh"
 #include "mapper/mapper.hh"
 #include "workload/builders.hh"
@@ -31,6 +35,43 @@ searchArch()
     buf.capacity_words = 4096;
     buf.bandwidth_words_per_cycle = 8.0;
     return Architecture("search", {dram, buf}, ComputeSpec{});
+}
+
+/** Buffer loop order fixed to (M, K): N may not be tiled there. */
+MapspaceConstraints
+orderConstrained(const Workload &w)
+{
+    MapspaceConstraints cons;
+    cons.levels.resize(2);
+    cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
+    return cons;
+}
+
+/** One conv layer on one Table 3 design. */
+struct ZooSpace
+{
+    std::string name;
+    Workload workload;
+    apps::DesignPoint design;
+};
+
+/** VGG16 conv layers 2 and 8 on Eyeriss, Eyeriss v2 PE and SCNN. */
+std::vector<ZooSpace>
+zooConvSpaces()
+{
+    using Builder = apps::DesignPoint (*)(const Workload &);
+    const auto layers = apps::vgg16ConvLayers();
+    std::vector<ZooSpace> out;
+    for (std::size_t i : {2, 8}) {
+        Workload w = makeConv(layers[i]);
+        for (Builder build : {apps::buildEyeriss, apps::buildEyerissV2Pe,
+                              apps::buildScnn}) {
+            apps::DesignPoint d = build(w);
+            std::string name = d.name + " vgg16-conv" + std::to_string(i);
+            out.push_back({std::move(name), w, std::move(d)});
+        }
+    }
+    return out;
 }
 
 TEST(MapSpace, SizeAccountingMatchesEnumeration)
@@ -108,22 +149,89 @@ TEST(MapSpace, SampledCandidatesEncodeAndRoundtrip)
 
 TEST(MapSpace, NeighborsStayInSpace)
 {
+    // Every neighbour is a valid in-space point whose mapping encodes
+    // back to the same coordinates.
+    auto check = [](const MapSpace &space, std::uint64_t seed) {
+        auto neighbors = space.neighbors(space.samplePoint(seed));
+        EXPECT_FALSE(neighbors.empty());
+        for (const auto &p : neighbors) {
+            Mapping nm = space.materialize(p);
+            nm.validate(space.workload(), space.arch());
+            EXPECT_TRUE(space.satisfies(nm));
+            auto back = space.encode(nm);
+            ASSERT_TRUE(back.has_value());
+            EXPECT_EQ(*back, p);
+        }
+    };
+
     Workload w = makeMatmul(16, 16, 16);
     Architecture arch = searchArch();
-    MapspaceConstraints cons;
-    cons.levels.resize(2);
-    cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
-    MapSpace space(w, arch, cons);
-    Mapping m = space.sampleMapping(7);
-    auto point = space.encode(m);
-    ASSERT_TRUE(point.has_value());
-    auto neighbors = space.neighbors(*point);
-    EXPECT_FALSE(neighbors.empty());
-    for (const auto &p : neighbors) {
-        Mapping nm = space.materialize(p);
-        nm.validate(w, arch);
-        EXPECT_TRUE(space.satisfies(nm));
+    MapSpace constrained(w, arch, orderConstrained(w));
+    check(constrained, 7);
+
+    for (const ZooSpace &z : zooConvSpaces()) {
+        MapSpace space(z.workload, z.design.arch);
+        ASSERT_TRUE(space.pointEncodable()) << z.name;
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            SCOPED_TRACE(z.name + " seed=" + std::to_string(seed));
+            check(space, seed);
+        }
     }
+}
+
+TEST(MapSpace, RandomNeighborIsTheDrawnEntryOfNeighbors)
+{
+    // randomNeighbor is exactly "draw a uniform index into
+    // neighbors()": the same entry for the same generator state, with
+    // one draw consumed. Checked along short random walks.
+    auto walk = [](const MapSpace &space, const std::string &name) {
+        ASSERT_TRUE(space.pointEncodable()) << name;
+        std::mt19937_64 rng(11);
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+            MapSpace::Point p = space.samplePoint(seed);
+            for (int step = 0; step < 40; ++step) {
+                SCOPED_TRACE(name + " seed=" + std::to_string(seed) +
+                             " step=" + std::to_string(step));
+                const std::vector<MapSpace::Point> all =
+                    space.neighbors(p);
+                ASSERT_FALSE(all.empty());
+                std::mt19937_64 copy = rng;
+                std::uniform_int_distribution<std::size_t> pick(
+                    0, all.size() - 1);
+                const MapSpace::Point &expected = all[pick(copy)];
+                auto drawn = space.randomNeighbor(p, rng);
+                ASSERT_TRUE(drawn.has_value());
+                EXPECT_EQ(*drawn, expected);
+                EXPECT_EQ(rng, copy);
+                p = *std::move(drawn);
+            }
+        }
+    };
+
+    Workload w = makeMatmul(16, 16, 16);
+    Architecture arch = searchArch();
+    walk(MapSpace(w, arch, orderConstrained(w)), "matmul16-constrained");
+    for (const ZooSpace &z : zooConvSpaces()) {
+        for (bool bypass : {false, true}) {
+            MapSpaceOptions opts;
+            opts.explore_bypass = bypass;
+            walk(MapSpace(z.workload, z.design.arch, {}, opts),
+                 z.name + (bypass ? " bypass" : " keep-all"));
+        }
+    }
+
+    // A point with no moves at all (every bound 1, keep axis closed)
+    // draws nothing and leaves the generator untouched.
+    Workload unit = makeMatmul(1, 1, 1);
+    MapSpaceOptions closed;
+    closed.explore_bypass = false;
+    MapSpace isolated(unit, arch, {}, closed);
+    MapSpace::Point p = isolated.samplePoint(0);
+    ASSERT_TRUE(isolated.neighbors(p).empty());
+    std::mt19937_64 rng(3);
+    const std::mt19937_64 before = rng;
+    EXPECT_FALSE(isolated.randomNeighbor(p, rng).has_value());
+    EXPECT_EQ(rng, before);
 }
 
 TEST(MapSpace, SamplePointMatchesSampleMapping)

@@ -6,9 +6,10 @@
  * under every strategy, per-strategy determinism across repeated runs
  * and 1/4/8 evaluation threads (annealing and genetic included),
  * batch-size independence of the round-streamed strategies, pinned
- * hybrid results, the fallback of every round-based strategy to
- * random search on a non-encodable space, warm starts through
- * WarmStartPool, and the distinguishable all-invalid outcome.
+ * hybrid, annealing and genetic results, the fallback of every
+ * round-based strategy to random search on a non-encodable space,
+ * warm starts through WarmStartPool, and the distinguishable
+ * all-invalid outcome.
  */
 
 #include <gtest/gtest.h>
@@ -397,6 +398,124 @@ TEST(SearchStrategies, HybridResultsArePinned)
             }
             MapperResult r = Mapper(w, arch, none, opts).search();
             SCOPED_TRACE("seed=" + std::to_string(p.seed) +
+                         " warm=" + std::to_string(p.warm) +
+                         " batch=" + std::to_string(batch));
+            ASSERT_TRUE(r.found);
+            EXPECT_EQ(r.warm_start_candidates, p.warm ? 3 : 0);
+            EXPECT_EQ(r.mapping.signature(), p.signature);
+            EXPECT_EQ(r.candidates_valid, p.valid);
+            EXPECT_EQ(doubleBits(r.eval.edp()), p.edp_bits);
+        }
+    }
+}
+
+TEST(SearchStrategies, AnnealingAndGeneticResultsArePinned)
+{
+    // Fixed outcomes of the annealing chains and the genetic
+    // mutations, which both draw through MapSpace::randomNeighbor, so
+    // a change to the neighbour order or to the draw cannot pass as
+    // "still deterministic". The three spaces between them draw every
+    // move family: keep-all (tiling, permutation and spatial moves),
+    // bypass open (adds keep moves), and bypass open with the Buffer
+    // loop order constrained (constrained levels take no permutation
+    // moves and are rebuilt from the constraint by reconcile).
+    enum Space { KeepAll, Bypass, ConstrainedOrder };
+    constexpr SearchStrategyKind Annealing = SearchStrategyKind::Annealing;
+    constexpr SearchStrategyKind Genetic = SearchStrategyKind::Genetic;
+    struct Pinned
+    {
+        SearchStrategyKind kind;
+        Space space;
+        std::uint64_t seed;
+        bool warm;
+        std::uint64_t signature;
+        std::int64_t valid;
+        std::uint64_t edp_bits;
+    };
+    const Pinned pinned[] = {
+        {Annealing, KeepAll, 1, false,
+         0x86cafb7509c798cfull, 287, 0x4258999999999999ull},
+        {Annealing, KeepAll, 1, true,
+         0x28bc12b3462025e9ull, 287, 0x4258999999999999ull},
+        {Annealing, KeepAll, 0xC0FFEE, false,
+         0x86cafb7509c798cfull, 300, 0x4258999999999999ull},
+        {Annealing, KeepAll, 0xC0FFEE, true,
+         0x457197ee61d7ca91ull, 287, 0x4258999999999999ull},
+        {Annealing, Bypass, 1, false,
+         0xf4eeb86b9146824dull, 296, 0x4258180000000000ull},
+        {Annealing, Bypass, 1, true,
+         0x31ffeb4baa2ecb56ull, 293, 0x4258180000000000ull},
+        {Annealing, Bypass, 0xC0FFEE, false,
+         0x493903ab52fbb26cull, 300, 0x4258180000000000ull},
+        {Annealing, Bypass, 0xC0FFEE, true,
+         0xc5993af7323ac240ull, 292, 0x4258673333333333ull},
+        {Annealing, ConstrainedOrder, 1, false,
+         0x8af69662f5b09a42ull, 299, 0x4258180000000000ull},
+        {Annealing, ConstrainedOrder, 1, true,
+         0x8af69662f5b09a42ull, 299, 0x4258180000000000ull},
+        {Annealing, ConstrainedOrder, 0xC0FFEE, false,
+         0xdf07bf670b400238ull, 300, 0x4258673333333333ull},
+        {Annealing, ConstrainedOrder, 0xC0FFEE, true,
+         0x911adbfa2bda2d7aull, 300, 0x4258180000000000ull},
+        {Genetic, KeepAll, 1, false,
+         0xfa4e077e2390c433ull, 297, 0x4258999999999999ull},
+        {Genetic, KeepAll, 1, true,
+         0xfa4e077e2390c433ull, 295, 0x4258999999999999ull},
+        {Genetic, KeepAll, 0xC0FFEE, false,
+         0xda43e72b49adb3e2ull, 284, 0x4258999999999999ull},
+        {Genetic, KeepAll, 0xC0FFEE, true,
+         0xda43e72b49adb3e2ull, 298, 0x4258999999999999ull},
+        {Genetic, Bypass, 1, false,
+         0xf4f8cc2557df6198ull, 300, 0x4258673333333333ull},
+        {Genetic, Bypass, 1, true,
+         0xea00b94fd4c9d2e5ull, 288, 0x425e973333333333ull},
+        {Genetic, Bypass, 0xC0FFEE, false,
+         0xa0660ddfaa719e54ull, 296, 0x4258180000000000ull},
+        {Genetic, Bypass, 0xC0FFEE, true,
+         0xefb3738a171f5d20ull, 289, 0x4258180000000000ull},
+        {Genetic, ConstrainedOrder, 1, false,
+         0xdf07bf670b400238ull, 300, 0x4258673333333333ull},
+        {Genetic, ConstrainedOrder, 1, true,
+         0xdf07bf670b400238ull, 299, 0x4258673333333333ull},
+        {Genetic, ConstrainedOrder, 0xC0FFEE, false,
+         0x8e78b4af1cf418acull, 300, 0x4258673333333333ull},
+        {Genetic, ConstrainedOrder, 0xC0FFEE, true,
+         0x8e78b4af1cf418acull, 299, 0x4258673333333333ull},
+    };
+    Workload w = makeMatmul(64, 64, 64);
+    Architecture arch = searchArch();
+    SafSpec none;
+    MapspaceConstraints ordered;
+    ordered.levels.resize(2);
+    ordered.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
+    for (const Pinned &p : pinned) {
+        MapperOptions base;
+        base.mapspace.explore_bypass = p.space != KeepAll;
+        const MapspaceConstraints cons =
+            p.space == ConstrainedOrder ? ordered : MapspaceConstraints{};
+        for (int batch : {1, 256}) {
+            MapperOptions opts = base;
+            opts.samples = 300;
+            opts.seed = p.seed;
+            opts.strategy = p.kind;
+            opts.batch_size = batch;
+            if (p.warm) {
+                // Elites of three disjoint random streams.
+                auto pool = std::make_shared<WarmStartPool>();
+                for (std::uint64_t s : {1000, 2000, 3000}) {
+                    MapperOptions fill = base;
+                    fill.samples = 60;
+                    fill.seed = s;
+                    fill.strategy = SearchStrategyKind::Random;
+                    fill.warm_start = pool;
+                    Mapper(w, arch, none, fill, cons).search();
+                }
+                opts.warm_start = pool;
+            }
+            MapperResult r = Mapper(w, arch, none, opts, cons).search();
+            SCOPED_TRACE("strategy=" + r.strategy +
+                         " space=" + std::to_string(p.space) +
+                         " seed=" + std::to_string(p.seed) +
                          " warm=" + std::to_string(p.warm) +
                          " batch=" + std::to_string(batch));
             ASSERT_TRUE(r.found);
