@@ -1,12 +1,15 @@
 /**
  * @file
- * Batched evaluation: dedupe by EvalKey, group by dense prefix, fan
- * groups out across a worker pool.
+ * Batched evaluation: dedupe by EvalKey, probe the cache, and evaluate
+ * every miss in one fan-out, sharing Step 1 within each dense group.
  */
 
 #include "model/batch_evaluator.hh"
 
 #include <algorithm>
+#include <mutex>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -21,7 +24,7 @@ BatchEvaluator::BatchEvaluator(Engine engine,
       options_(options)
 {
     if (!cache_) {
-        cache_ = std::make_shared<EvalCache>(options_.cache);
+        cache_ = std::make_shared<EvalCache>();
     }
 }
 
@@ -41,69 +44,69 @@ BatchEvaluator::threadCount(std::size_t jobs) const
 
 namespace {
 
-/** An EvalKey carrying its hash, computed exactly once per batch:
- *  dedupe, grouping, cache lookup, and cache insertion all reuse it
- *  instead of re-hashing the key at each stage. */
-struct HashedEvalKey
+/**
+ * The result-cache misses of one batch that share a Step-1 prefix.
+ * A null `dense` after `resolve` means Step 1 threw, with the text in
+ * `error`.
+ */
+struct DenseGroup
 {
-    EvalKey key;
-    std::uint64_t hash = 0;
-    bool operator==(const HashedEvalKey &o) const
-    {
-        return key == o.key;
-    }
-};
-
-struct HashedEvalKeyHash
-{
-    std::size_t operator()(const HashedEvalKey &k) const
-    {
-        return static_cast<std::size_t>(k.hash);
-    }
-};
-
-/** Same for the Step-1 prefix. */
-struct HashedDenseKey
-{
+    // A plain mutex, not std::call_once: glibc's pthread_once makes a
+    // futex syscall on every first call, ~20x an uncontended lock.
+    std::mutex mutex;
+    bool resolved = false;
     DenseKey key;
     std::uint64_t hash = 0;
-    bool operator==(const HashedDenseKey &o) const
-    {
-        return key == o.key;
-    }
-};
+    std::shared_ptr<const DenseTraffic> dense;
+    bool computed = false;  ///< `dense` is fresh, not a cache hit
+    std::string error;
 
-struct HashedDenseKeyHash
-{
-    std::size_t operator()(const HashedDenseKey &k) const
+    /** On the group's first call, from whichever member runs first:
+     *  fetch Step 1 from @p cache, or compute it for @p p. */
+    void resolve(const Engine &engine, EvalCache &cache,
+                 const DenseKey &prefix, const EvalPoint &p)
     {
-        return static_cast<std::size_t>(k.hash);
+        std::lock_guard<std::mutex> lock(mutex);
+        if (resolved) {
+            return;
+        }
+        key = prefix;
+        hash = key.hash();
+        dense = cache.findDense(key, hash);
+        if (!dense) {
+            try {
+                dense = std::make_shared<const DenseTraffic>(
+                    engine.analyzeDataflow(*p.workload, *p.mapping));
+                computed = true;
+            } catch (const FatalError &err) {
+                error = err.what();
+            }
+        }
+        resolved = true;
     }
 };
 
 } // namespace
 
 std::vector<EvalResult>
-BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
-                              BatchStats *stats) const
+BatchEvaluator::evaluatePoints(const std::vector<EvalPoint> &points,
+                               BatchStats *stats,
+                               std::size_t &first_failure) const
 {
     // 1. Dedupe: one job per distinct EvalKey; remember which job
-    //    serves each input point. Each key (and its dense prefix) is
-    //    hashed here, once, and the hash rides along through every
-    //    later stage.
+    //    serves each input point.
     struct Job
     {
         EvalKey key;
-        std::uint64_t key_hash = 0;
-        std::uint64_t dense_hash = 0;
+        std::uint64_t hash = 0;  ///< key.hash(), for probe and store
         const EvalPoint *point = nullptr;
-        std::shared_ptr<const DenseTraffic> dense;
+        std::size_t group = 0;   ///< DenseGroup of a result-cache miss
         std::shared_ptr<const EvalResult> result;
+        std::string error;  ///< FatalError text when result stays null
     };
     std::vector<Job> jobs;
     std::vector<std::size_t> point_to_job(points.size());
-    std::unordered_map<HashedEvalKey, std::size_t, HashedEvalKeyHash>
-        job_of;
+    std::unordered_map<EvalKey, std::size_t, EvalKeyHash> job_of;
     job_of.reserve(points.size());
     // Sweeps share workloads/mappings/SAF specs across many points;
     // memoize each object's signature by address so it hashes once
@@ -123,48 +126,42 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         if (!p.workload || !p.mapping || !p.safs) {
             SL_FATAL("EvalPoint ", i, " has a null component");
         }
-        HashedEvalKey hkey;
-        hkey.key.engine = engine_.signature();
-        hkey.key.workload = memoized(workload_sigs, p.workload);
-        hkey.key.mapping = memoized(mapping_sigs, p.mapping);
-        hkey.key.safs = memoized(saf_sigs, p.safs);
-        hkey.hash = hkey.key.hash();
-        auto [it, inserted] = job_of.emplace(hkey, jobs.size());
+        const EvalKey key{engine_.signature(),
+                          memoized(workload_sigs, p.workload),
+                          memoized(mapping_sigs, p.mapping),
+                          memoized(saf_sigs, p.safs)};
+        auto [it, inserted] = job_of.emplace(key, jobs.size());
         if (inserted) {
-            Job job;
-            job.key = hkey.key;
-            job.key_hash = hkey.hash;
-            job.dense_hash = hkey.key.densePrefix().hash();
+            Job &job = jobs.emplace_back();
+            job.key = key;
+            job.hash = key.hash();
             job.point = &p;
-            jobs.push_back(std::move(job));
         }
         point_to_job[i] = it->second;
     }
 
-    // 2. Resolve full-result cache hits up front, then group only the
-    //    unresolved jobs by dense prefix so each of their Step-1 dense
-    //    analyses runs (or is fetched) exactly once — and a batch of
-    //    pure repeats never touches the dense level at all.
-    std::vector<std::size_t> unresolved;
-    unresolved.reserve(jobs.size());
-    std::unordered_map<HashedDenseKey, std::vector<std::size_t>,
-                       HashedDenseKeyHash>
-        grouped;
-    grouped.reserve(jobs.size());
+    // 2. Probe the result cache once per job, group the misses by
+    //    Step-1 prefix and order them group by group, so a chunk of
+    //    the fan-out mostly shares one dense analysis.
+    std::vector<std::size_t> misses;
+    misses.reserve(jobs.size());
+    std::unordered_map<DenseKey, std::size_t, DenseKeyHash> group_of;
+    group_of.reserve(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].result = cache_->findResult(jobs[j].key,
-                                            jobs[j].key_hash);
-        if (!jobs[j].result) {
-            unresolved.push_back(j);
-            grouped[{jobs[j].key.densePrefix(), jobs[j].dense_hash}]
-                .push_back(j);
+        Job &job = jobs[j];
+        job.result = cache_->findResult(job.key, job.hash);
+        if (!job.result) {
+            job.group = group_of.emplace(job.key.densePrefix(),
+                                         group_of.size())
+                            .first->second;
+            misses.push_back(j);
         }
     }
-    std::vector<std::vector<std::size_t>> groups;
-    groups.reserve(grouped.size());
-    for (auto &kv : grouped) {
-        groups.push_back(std::move(kv.second));
-    }
+    std::sort(misses.begin(), misses.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return jobs[a].group < jobs[b].group;
+              });
+    std::vector<DenseGroup> groups(group_of.size());
 
     if (stats) {
         stats->points = static_cast<std::int64_t>(points.size());
@@ -172,71 +169,75 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         stats->dense_groups = static_cast<std::int64_t>(groups.size());
     }
 
-    // Fan work out over the persistent pool (chunked claiming, prompt
-    // abort and rethrow on the first exception). Workers only write
-    // into their own jobs[] slots; all cache insertions are buffered
-    // and merged in bulk after each wave, so the hot loops touch no
-    // shared mutex.
-    auto fan_out = [this](std::size_t count, parallel::IndexBody work) {
-        parallel::parallelFor(threadCount(count), count, work);
-    };
-
-    // 3a. Materialize each group's Step-1 dense traffic exactly once
-    //     (groups fan out across the pool; each hits the cache first).
-    std::vector<char> dense_computed(groups.size(), 0);
-    fan_out(groups.size(), [&](std::size_t g) {
-        const Job &lead = jobs[groups[g].front()];
-        std::shared_ptr<const DenseTraffic> dense =
-            cache_->findDense(lead.key.densePrefix(), lead.dense_hash);
-        if (!dense) {
-            dense = std::make_shared<const DenseTraffic>(
-                engine_.analyzeDataflow(*lead.point->workload,
-                                        *lead.point->mapping));
-            dense_computed[g] = 1;
-        }
-        for (std::size_t j : groups[g]) {
-            jobs[j].dense = dense;
-        }
-    });
-    {
-        std::vector<EvalCache::DenseEntry> fresh_dense;
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            if (dense_computed[g]) {
-                const Job &lead = jobs[groups[g].front()];
-                fresh_dense.push_back({lead.key.densePrefix(),
-                                       lead.dense_hash, lead.dense});
+    // 3. Evaluate every miss in one fan-out over the persistent pool.
+    //    Workers write only their own job slot, and a group only
+    //    under its lock. A FatalError stays on its point (from
+    //    Step 1, on its whole group); any other exception aborts the
+    //    batch.
+    parallel::parallelFor(
+        threadCount(misses.size()), misses.size(), [&](std::size_t m) {
+            Job &job = jobs[misses[m]];
+            DenseGroup &group = groups[job.group];
+            const EvalPoint &p = *job.point;
+            group.resolve(engine_, *cache_, job.key.densePrefix(), p);
+            if (!group.dense) {
+                job.error = group.error;
+                return;
             }
-        }
-        if (!fresh_dense.empty()) {
-            cache_->storeDenses(std::move(fresh_dense));
+            try {
+                job.result = std::make_shared<const EvalResult>(
+                    engine_.evaluateFromDense(*p.workload, *p.mapping,
+                                              *p.safs, *group.dense));
+            } catch (const FatalError &err) {
+                job.error = err.what();
+            }
+        });
+
+    // 4. Merge the fresh entries into the cache shards in bulk.
+    std::vector<EvalCache::DenseEntry> fresh_dense;
+    for (const DenseGroup &group : groups) {
+        if (group.computed) {
+            fresh_dense.push_back({group.key, group.hash, group.dense});
         }
     }
-
-    // 3b. Evaluate the unresolved jobs (steps 2-3) across the pool.
-    fan_out(unresolved.size(), [&](std::size_t u) {
-        Job &job = jobs[unresolved[u]];
-        const EvalPoint &p = *job.point;
-        job.result = std::make_shared<const EvalResult>(
-            engine_.evaluateFromDense(*p.workload, *p.mapping, *p.safs,
-                                      *job.dense));
-    });
-    {
-        std::vector<EvalCache::ResultEntry> fresh_results;
-        fresh_results.reserve(unresolved.size());
-        for (std::size_t j : unresolved) {
+    cache_->storeDenses(std::move(fresh_dense));
+    std::vector<EvalCache::ResultEntry> fresh_results;
+    fresh_results.reserve(misses.size());
+    for (std::size_t j : misses) {
+        if (jobs[j].result) {
             fresh_results.push_back(
-                {jobs[j].key, jobs[j].key_hash, jobs[j].result});
-        }
-        if (!fresh_results.empty()) {
-            cache_->storeResults(std::move(fresh_results));
+                {jobs[j].key, jobs[j].hash, jobs[j].result});
         }
     }
+    cache_->storeResults(std::move(fresh_results));
 
-    // 4. Scatter the deduplicated results back to input order.
+    // 5. Scatter the deduplicated results back to input order.
+    first_failure = points.size();
     std::vector<EvalResult> results;
     results.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        results.push_back(*jobs[point_to_job[i]].result);
+        const Job &job = jobs[point_to_job[i]];
+        if (job.result) {
+            results.push_back(*job.result);
+            continue;
+        }
+        first_failure = std::min(first_failure, i);
+        EvalResult bad;
+        bad.valid = false;
+        bad.invalid_reason = job.error;
+        results.push_back(std::move(bad));
+    }
+    return results;
+}
+
+std::vector<EvalResult>
+BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
+                              BatchStats *stats) const
+{
+    std::size_t failed = 0;
+    std::vector<EvalResult> results = evaluatePoints(points, stats, failed);
+    if (failed < results.size()) {
+        throw FatalError(results[failed].invalid_reason);
     }
     return results;
 }
@@ -252,31 +253,8 @@ BatchEvaluator::evaluateMappings(
     for (const Mapping *mapping : mappings) {
         points.push_back({&workload, mapping, &safs});
     }
-    try {
-        return evaluateBatch(points, stats);
-    } catch (const FatalError &) {
-        // A malformed candidate aborted the batched path; retry
-        // point-wise so only the offending mappings are lost (each
-        // comes back invalid instead of sinking the whole batch).
-    }
-    std::vector<EvalResult> results;
-    results.reserve(points.size());
-    for (const EvalPoint &p : points) {
-        try {
-            results.push_back(evaluate(*p.workload, *p.mapping, *p.safs));
-        } catch (const FatalError &err) {
-            EvalResult bad;
-            bad.valid = false;
-            bad.invalid_reason = err.what();
-            results.push_back(std::move(bad));
-        }
-    }
-    if (stats) {
-        stats->points = static_cast<std::int64_t>(points.size());
-        stats->unique_points = stats->points;
-        stats->dense_groups = 0;
-    }
-    return results;
+    std::size_t failed = 0;
+    return evaluatePoints(points, stats, failed);
 }
 
 } // namespace sparseloop

@@ -5,18 +5,21 @@
  * A design-space sweep is a pile of independent evaluation points, many
  * of which repeat work: duplicate points (the same design reached from
  * different sweep axes) and shared Step-1 dense prefixes (many SAF
- * specifications over one tile shape). `BatchEvaluator` exploits both:
- * it deduplicates points by `EvalKey`, groups the survivors by
- * `DenseKey` so each dense dataflow analysis runs once, then fans the
- * work out across the persistent worker pool (common/thread_pool.hh,
- * the same pool `Mapper::searchWithThreads` and the search strategies
- * ride) in two chunk-scheduled waves: dense analyses by group, then
- * the per-point sparse/micro-architecture steps. Every key is hashed
- * once per batch, workers write only their own slots, and cache
- * insertions are buffered and merged into the `EvalCache` shards in
- * bulk after each wave. All lookups and computations go through a
- * shared `EvalCache`, so repeated `evaluateBatch` calls — and any
- * mapper sharing the cache — keep hitting.
+ * specifications over one tile shape). `BatchEvaluator` exploits both
+ * in one pass: it deduplicates points by `EvalKey`, probes the shared
+ * `EvalCache` once per distinct key, orders the misses group by group
+ * by `DenseKey`, and fans them out in a single chunk-scheduled wave
+ * over the persistent worker pool (common/thread_pool.hh, the same
+ * pool `Mapper::searchWithThreads` and the search strategies ride).
+ * Whichever member of a group runs first fetches or computes the
+ * group's Step-1 dense traffic under the group's lock; the others
+ * reuse it. Fresh entries are merged into the cache shards in bulk
+ * after the wave, so repeated batches — and any mapper sharing the
+ * cache — keep hitting.
+ *
+ * A `FatalError` from the engine stays on its point: a Step-1 error
+ * marks every point of its dense group, a Step-2/3 error only its own
+ * point. The rest of the batch is evaluated and cached as usual.
  *
  * Results are bit-identical to calling `Engine::evaluate` on every
  * point sequentially: deduplicated points receive copies of the same
@@ -56,14 +59,11 @@ struct EvalPoint
     const SafSpec *safs = nullptr;
 };
 
-/** Worker-pool and cache-construction knobs. */
+/** Worker-pool knobs. */
 struct BatchEvaluatorOptions
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     int num_threads = 0;
-    /** Sizing for the internally-created cache (ignored when one is
-     *  injected via the constructor). */
-    EvalCacheOptions cache;
 };
 
 /** Work-sharing accounting of one evaluateBatch call. */
@@ -85,12 +85,12 @@ class BatchEvaluator
   public:
     /**
      * @param engine evaluation engine (owns the architecture).
-     * @param cache shared cache; null creates a private one sized by
-     *        @p options. Inject a cache to share hits with a `Mapper`
-     *        (via `MapperOptions::cache`) or other evaluators; keys
-     *        cover the engine configuration, so sharing is always
-     *        safe.
-     * @param options worker-pool and cache sizing knobs.
+     * @param cache shared cache; null creates a private one with
+     *        default sizing. Inject a cache to size it, or to share
+     *        hits with a `Mapper` (via `MapperOptions::cache`) or
+     *        other evaluators; keys cover the engine configuration, so
+     *        sharing is always safe.
+     * @param options worker-pool knobs.
      */
     explicit BatchEvaluator(Engine engine,
                             std::shared_ptr<EvalCache> cache = nullptr,
@@ -104,8 +104,10 @@ class BatchEvaluator
      * Evaluate a batch. Returns one result per input point, in input
      * order, each bit-identical to `engine().evaluate` on that point.
      * Invalid mappings (capacity overflow) come back as results with
-     * `valid == false`; malformed mappings that make the engine throw
-     * propagate the exception.
+     * `valid == false`. When malformed mappings make the engine throw
+     * `FatalError`, the rest of the batch is still evaluated and
+     * cached, then the first failing point's error (in input order)
+     * is thrown.
      *
      * @param points evaluation points (pointers must be non-null).
      * @param stats optional out-parameter for work-sharing accounting.
@@ -116,12 +118,12 @@ class BatchEvaluator
 
     /**
      * Batch hook for candidate searches: evaluate many mappings of one
-     * (workload, SAF-spec) pair. Unlike `evaluateBatch`, a mapping
-     * that makes the engine throw `FatalError` does not abort the
-     * batch: the batched path is retried point-wise and the offending
-     * mappings come back as invalid results carrying the error text in
-     * `invalid_reason`. The well-formed mappings' results stay
-     * bit-identical to `engine().evaluate` on them.
+     * (workload, SAF-spec) pair in the same single pass. Unlike
+     * `evaluateBatch`, a mapping that makes the engine throw
+     * `FatalError` does not fail the call: it comes back as an invalid
+     * result carrying the error text in `invalid_reason`. The
+     * well-formed mappings' results stay bit-identical to
+     * `engine().evaluate` on them.
      *
      * @param mappings candidate mappings (pointers must be non-null
      *        and alive until the call returns).
@@ -141,6 +143,17 @@ class BatchEvaluator
     const BatchEvaluatorOptions &options() const { return options_; }
 
   private:
+    /**
+     * The one pass behind both entry points: dedupe, probe, then
+     * evaluate every miss in one fan-out. Points whose evaluation
+     * threw `FatalError` come back invalid with the error text in
+     * `invalid_reason`; @p first_failure receives the input index of
+     * the first of them (or `points.size()` when none failed).
+     */
+    std::vector<EvalResult>
+    evaluatePoints(const std::vector<EvalPoint> &points, BatchStats *stats,
+                   std::size_t &first_failure) const;
+
     Engine engine_;
     std::shared_ptr<EvalCache> cache_;
     BatchEvaluatorOptions options_;

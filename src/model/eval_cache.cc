@@ -189,53 +189,52 @@ shardIndex(std::uint64_t hash, std::size_t nshards)
         hash % static_cast<std::uint64_t>(nshards));
 }
 
+/** Shared bulk-insert body of both cache levels: @p entries are
+ *  grouped by shard so each touched shard is locked exactly once;
+ *  @p level picks a shard's map and @p value an entry's payload. */
+template <typename Shards, typename Entry, typename Shard, typename Map,
+          typename Value>
+void
+storeGrouped(const Shards &shards, std::vector<Entry> &entries,
+             std::size_t max_entries, Map Shard::*level,
+             Value Entry::*value)
+{
+    if (entries.empty()) {
+        return;
+    }
+    const std::size_t nshards = shards.size();
+    std::vector<std::vector<std::size_t>> per_shard(nshards);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
+    }
+    for (std::size_t s = 0; s < nshards; ++s) {
+        if (per_shard[s].empty()) {
+            continue;
+        }
+        Shard &shard = *shards[s];
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        for (std::size_t i : per_shard[s]) {
+            storeEntryLocked(shard.*level, entries[i].key,
+                             entries[i].hash,
+                             std::move(entries[i].*value), max_entries);
+        }
+    }
+}
+
 } // namespace
 
 void
 EvalCache::storeResults(std::vector<ResultEntry> entries)
 {
-    // Group by shard first so each touched shard is locked once.
-    const std::size_t nshards = shards_.size();
-    std::vector<std::vector<std::size_t>> per_shard(nshards);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
-    }
-    for (std::size_t s = 0; s < nshards; ++s) {
-        if (per_shard[s].empty()) {
-            continue;
-        }
-        Shard &shard = *shards_[s];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (std::size_t i : per_shard[s]) {
-            storeEntryLocked(shard.results, entries[i].key,
-                             entries[i].hash,
-                             std::move(entries[i].result),
-                             options_.max_entries_per_shard);
-        }
-    }
+    storeGrouped(shards_, entries, options_.max_entries_per_shard,
+                 &Shard::results, &ResultEntry::result);
 }
 
 void
 EvalCache::storeDenses(std::vector<DenseEntry> entries)
 {
-    const std::size_t nshards = shards_.size();
-    std::vector<std::vector<std::size_t>> per_shard(nshards);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
-    }
-    for (std::size_t s = 0; s < nshards; ++s) {
-        if (per_shard[s].empty()) {
-            continue;
-        }
-        Shard &shard = *shards_[s];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (std::size_t i : per_shard[s]) {
-            storeEntryLocked(shard.dense, entries[i].key,
-                             entries[i].hash,
-                             std::move(entries[i].dense),
-                             options_.max_entries_per_shard);
-        }
-    }
+    storeGrouped(shards_, entries, options_.max_entries_per_shard,
+                 &Shard::dense, &DenseEntry::dense);
 }
 
 std::vector<EvalCache::ResultEntry>
@@ -301,16 +300,7 @@ evaluateCached(const Engine &engine, EvalCache &cache,
                const Workload &workload, const Mapping &mapping,
                const SafSpec &safs)
 {
-    return evaluateCached(engine, cache,
-                          EvalKey::of(engine, workload, mapping, safs),
-                          workload, mapping, safs);
-}
-
-EvalResult
-evaluateCached(const Engine &engine, EvalCache &cache, const EvalKey &key,
-               const Workload &workload, const Mapping &mapping,
-               const SafSpec &safs)
-{
+    const EvalKey key = EvalKey::of(engine, workload, mapping, safs);
     if (auto hit = cache.findResult(key)) {
         return *hit;
     }

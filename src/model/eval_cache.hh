@@ -166,11 +166,9 @@ struct EvalCacheStats
  * called concurrently from any number of threads.
  *
  * Hot batch paths pass a precomputed `key.hash()` to the overloads
- * below so each key is hashed exactly once per batch (dedupe,
- * grouping, lookup, and store all reuse the same 64-bit value), and
- * buffer their insertions into `storeResults`/`storeDenses`, which
- * merge into each shard under one lock acquisition instead of one
- * per entry.
+ * below so a key's lookup and store share one hash, and buffer their
+ * insertions into `storeResults`/`storeDenses`, which merge into each
+ * shard under one lock acquisition instead of one per entry.
  */
 class EvalCache
 {
@@ -284,16 +282,6 @@ class EvalCache
 EvalResult evaluateCached(const Engine &engine, EvalCache &cache,
                           const Workload &workload, const Mapping &mapping,
                           const SafSpec &safs);
-
-/**
- * Hot-loop variant taking a precomputed @p key (which must equal
- * `EvalKey::of(engine, workload, mapping, safs)`): lets callers that
- * evaluate many points against a fixed engine/workload/SAF spec hoist
- * those signatures instead of re-hashing them per point.
- */
-EvalResult evaluateCached(const Engine &engine, EvalCache &cache,
-                          const EvalKey &key, const Workload &workload,
-                          const Mapping &mapping, const SafSpec &safs);
 
 } // namespace sparseloop
 

@@ -5,15 +5,17 @@
 
 #include "service/registry.hh"
 
+#include <utility>
+
 #include "apps/designs.hh"
 #include "common/logging.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
 
-ServiceRegistry::ServiceRegistry(EvalCacheOptions cache_options,
+ServiceRegistry::ServiceRegistry(std::shared_ptr<EvalCache> cache,
                                  std::size_t warm_capacity)
-    : cache_(std::make_shared<EvalCache>(cache_options)),
+    : cache_(cache ? std::move(cache) : std::make_shared<EvalCache>()),
       warm_(std::make_shared<WarmStartPool>(warm_capacity))
 {
 }

@@ -58,7 +58,9 @@ class ServiceRegistry
         std::unique_ptr<BatchEvaluator> evaluator;
     };
 
-    explicit ServiceRegistry(EvalCacheOptions cache_options = {},
+    /** @param cache shared cache; null creates one with default
+     *        sizing (inject a cache to size it). */
+    explicit ServiceRegistry(std::shared_ptr<EvalCache> cache = nullptr,
                              std::size_t warm_capacity = 16);
 
     /** Register a context (fatal on a duplicate name). */

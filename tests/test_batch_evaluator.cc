@@ -3,10 +3,12 @@
  * Tests for the batch evaluator: batched results must be bit-identical
  * to uncached sequential evaluation at every thread count, duplicates
  * must deduplicate, dense prefixes must group, caches must be shared,
- * and failures must propagate.
+ * and engine errors must stay on their points.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/logging.hh"
 #include "mapper/mapper.hh"
@@ -223,6 +225,118 @@ TEST(BatchEvaluator, MalformedMappingPropagatesFromWorkers)
     opts.num_threads = 4;
     BatchEvaluator evaluator(Engine(arch), nullptr, opts);
     EXPECT_THROW(evaluator.evaluateBatch(points), FatalError);
+}
+
+/**
+ * Ten points over six sampled mappings: two duplicates, an empty
+ * `Mapping()` at index 2 and a one-level mapping last. The engine
+ * throws `FatalError` on both malformed mappings.
+ */
+struct MixedBatch
+{
+    Architecture arch = batchArch();
+    Sweep sweep{arch};
+    std::vector<Mapping> sampled;
+    Mapping empty;
+    Mapping one_level{
+        std::vector<LevelNest>{LevelNest{{Loop{0, 32, false}}, {}}}};
+    std::vector<const Mapping *> mappings;
+
+    MixedBatch()
+    {
+        MapSpace space(sweep.workload, arch);
+        for (std::uint64_t seed = 1; sampled.size() < 6; ++seed) {
+            Mapping m = space.sampleMapping(seed);
+            if (std::find(sampled.begin(), sampled.end(), m) ==
+                sampled.end()) {
+                sampled.push_back(std::move(m));
+            }
+        }
+        const std::vector<Mapping> &s = sampled;
+        mappings = {&s[0], &s[1], &empty, &s[2], &s[3],
+                    &s[0], &s[4], &s[5], &s[1], &one_level};
+    }
+
+    const Workload &workload() const { return sweep.workload; }
+    const SafSpec &safs() const { return sweep.safs[0]; }
+};
+
+TEST(BatchEvaluator, MalformedMappingIsInvalidWithoutRetry)
+{
+    MixedBatch batch;
+    Engine engine(batch.arch);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        BatchEvaluatorOptions opts;
+        opts.num_threads = threads;
+        BatchEvaluator evaluator(engine, nullptr, opts);
+        BatchStats stats;
+        std::vector<EvalResult> results = evaluator.evaluateMappings(
+            batch.workload(), batch.mappings, batch.safs(), &stats);
+        ASSERT_EQ(results.size(), batch.mappings.size());
+        std::vector<std::size_t> failed;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            try {
+                EvalResult expected = engine.evaluate(
+                    batch.workload(), *batch.mappings[i], batch.safs());
+                EXPECT_TRUE(bitIdentical(expected, results[i]))
+                    << "point " << i;
+            } catch (const FatalError &err) {
+                failed.push_back(i);
+                EXPECT_FALSE(results[i].valid) << "point " << i;
+                EXPECT_EQ(results[i].invalid_reason, err.what())
+                    << "point " << i;
+            }
+        }
+        EXPECT_EQ(failed, (std::vector<std::size_t>{2, 9}));
+        // One pass over the 8 distinct points: no point-wise retry.
+        EXPECT_EQ(stats.points, 10);
+        EXPECT_EQ(stats.unique_points, 8);
+        EXPECT_EQ(stats.dense_groups, 8);
+        EvalCacheStats cs = evaluator.cache().stats();
+        EXPECT_EQ(cs.result_hits + cs.result_misses, 8);
+    }
+}
+
+TEST(BatchEvaluator, FirstFailureInInputOrderIsThrown)
+{
+    MixedBatch batch;
+    Engine engine(batch.arch);
+    std::string expected;
+    try {
+        engine.evaluate(batch.workload(), batch.empty, batch.safs());
+    } catch (const FatalError &err) {
+        expected = err.what();
+    }
+    ASSERT_NE(expected.find("mapping has 0 subnests"), std::string::npos)
+        << expected;
+    std::vector<EvalPoint> points;
+    std::vector<EvalPoint> good;
+    for (const Mapping *m : batch.mappings) {
+        EvalPoint p{&batch.workload(), m, &batch.safs()};
+        points.push_back(p);
+        if (m != &batch.empty && m != &batch.one_level) {
+            good.push_back(p);
+        }
+    }
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        BatchEvaluatorOptions opts;
+        opts.num_threads = threads;
+        BatchEvaluator evaluator(engine, nullptr, opts);
+        try {
+            evaluator.evaluateBatch(points);
+            FAIL() << "expected FatalError";
+        } catch (const FatalError &err) {
+            EXPECT_EQ(std::string(err.what()), expected);
+        }
+        // The good points were evaluated and cached before the throw.
+        EvalCacheStats before = evaluator.cache().stats();
+        evaluator.evaluateBatch(good);
+        EvalCacheStats after = evaluator.cache().stats();
+        EXPECT_EQ(after.result_misses, before.result_misses);
+        EXPECT_EQ(after.result_hits - before.result_hits, 6);
+    }
 }
 
 TEST(BatchEvaluator, ThreadCountClampsToJobs)
