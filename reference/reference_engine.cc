@@ -655,6 +655,12 @@ referenceEvaluate(const Workload &workload, const Architecture &arch,
         if (saf.leaders.empty()) {
             SL_FATAL("intersection SAF needs at least one leader");
         }
+        for (int leader : saf.leaders) {
+            if (leader < 0 || leader >= workload.tensorCount()) {
+                SL_FATAL("intersection SAF has unknown leader tensor ",
+                         leader);
+            }
+        }
     }
     for (const auto &f : safs.formats) {
         if (f.tensor < 0 || f.tensor >= workload.tensorCount() ||

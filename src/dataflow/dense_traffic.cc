@@ -48,26 +48,6 @@ NestAnalysis::temporalMultiplier(int t, int lvl) const
 }
 
 double
-NestAnalysis::transferCount(int t, int lvl) const
-{
-    double footprint;
-    std::int64_t instances;
-    if (lvl >= mapping_.levelCount()) {
-        // Virtual compute level: one element per operand per MAC.
-        footprint = 1.0;
-        instances = mapping_.computeInstances();
-        lvl = mapping_.levelCount();
-    } else {
-        auto tiles = mapping_.dimTilesAtLevel(workload_, lvl);
-        footprint = static_cast<double>(
-            volume(workload_.tensorTileExtents(t, tiles)));
-        instances = mapping_.instancesAtLevel(lvl);
-    }
-    return footprint * static_cast<double>(instances) *
-           temporalMultiplier(t, lvl);
-}
-
-double
 NestAnalysis::multicastFactor(int t, int from, int to) const
 {
     double mcast = 1.0;
@@ -81,21 +61,19 @@ NestAnalysis::multicastFactor(int t, int from, int to) const
     return mcast;
 }
 
-std::vector<int>
+SmallVector<int, 8>
 NestAnalysis::keepLevels(int t) const
 {
-    std::vector<int> ks;
+    SmallVector<int, 8> ks;
     for (int l = 0; l < mapping_.levelCount(); ++l) {
         // The outermost level is the backing store and always keeps.
         if (l == 0 || mapping_.level(l).keeps(t)) {
             ks.push_back(l);
         }
     }
-    // The invariant every consumer (dense traffic, sparse boundary
-    // search, innermost-keep accounting) relies on, asserted here once
-    // instead of per call site: the backing store always keeps, so the
-    // list is never empty and always starts at level 0 — even for
-    // all-bypass-below-backing-store masks.
+    // The invariant every consumer relies on: the backing store always
+    // keeps, so the list is never empty and always starts at level 0 —
+    // even for all-bypass-below-backing-store masks.
     SL_ASSERT(!ks.empty() && ks.front() == 0,
               "keepLevels invariant violated for tensor ", t);
     return ks;
@@ -171,8 +149,10 @@ NestAnalysis::analyze() const
         }
     }
 
-    // transferCount with the footprint/instances lookups precomputed
-    // above; the temporal multiplier is evaluated identically.
+    // Deliveries of tensor t across the boundary into level lvl
+    // (elements): footprint x instances x temporal-reuse factor.
+    // lvl == S designates the virtual compute level: one element per
+    // operand per MAC.
     auto transfer = [&](int t, int lvl) {
         double footprint;
         std::int64_t instances;
@@ -188,17 +168,9 @@ NestAnalysis::analyze() const
                temporalMultiplier(t, lvl);
     };
 
-    SmallVector<int, 8> keeps;
     for (int t = 0; t < T; ++t) {
         const bool is_output = workload_.tensor(t).is_output;
-        keeps.clear();
-        for (int l = 0; l < S; ++l) {
-            if (l == 0 || mapping_.level(l).keeps(t)) {
-                keeps.push_back(l);
-            }
-        }
-        SL_ASSERT(!keeps.empty() && keeps.front() == 0,
-                  "keepLevels invariant violated for tensor ", t);
+        const SmallVector<int, 8> keeps = keepLevels(t);
         // Traffic between consecutive keeping levels.
         for (std::size_t i = 0; i + 1 < keeps.size(); ++i) {
             int a = keeps[i];

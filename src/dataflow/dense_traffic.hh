@@ -113,13 +113,6 @@ class NestAnalysis
     DenseTraffic analyze() const;
 
     /**
-     * Deliveries of tensor @p t across the boundary into level @p lvl
-     * (elements): footprint x instances x temporal-reuse factor.
-     * Level == levelCount() designates the virtual compute level.
-     */
-    double transferCount(int t, int lvl) const;
-
-    /**
      * Multicast factor for tensor @p t across spatial loops in levels
      * [from, to): the number of instances receiving identical data.
      */
@@ -130,11 +123,13 @@ class NestAnalysis
      *  for all-bypass masks. */
     int innermostKeepLevel(int t) const;
 
-    /** Keeping levels of tensor @p t, outermost first. Guaranteed
-     *  non-empty with front() == 0 (the backing store always keeps) —
-     *  asserted centrally here, so consumers (dense traffic, the
-     *  sparse boundary search) may index .front()/.back() freely. */
-    std::vector<int> keepLevels(int t) const;
+    /** Keeping levels of tensor @p t, outermost first: the one
+     *  keep-level scan, shared by dense traffic, innermostKeepLevel
+     *  and Step 2's boundary and innermost-keep lookups. Returned
+     *  inline (no heap allocation up to 8 levels). Guaranteed
+     *  non-empty with front() == 0 (the backing store always keeps),
+     *  so consumers may index .front()/.back() freely. */
+    SmallVector<int, 8> keepLevels(int t) const;
 
   private:
     const Workload &workload_;

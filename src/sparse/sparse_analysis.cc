@@ -34,6 +34,12 @@ SparseAnalysis::SparseAnalysis(const Workload &workload,
         if (saf.leaders.empty()) {
             SL_FATAL("intersection SAF needs at least one leader");
         }
+        for (int leader : saf.leaders) {
+            if (leader < 0 || leader >= workload_.tensorCount()) {
+                SL_FATAL("intersection SAF has unknown leader tensor ",
+                         leader);
+            }
+        }
     }
     for (const auto &f : safs_.formats) {
         if (f.tensor < 0 || f.tensor >= workload_.tensorCount() ||
@@ -49,33 +55,33 @@ SparseAnalysis::density(int t) const
     return workload_.tensor(t).densityValue();
 }
 
-int
-SparseAnalysis::safBoundary(const IntersectionSaf &saf) const
+double
+SparseAnalysis::eliminationProbability(const IntersectionSaf &saf,
+                                       std::vector<std::int64_t> &dim_tiles,
+                                       Shape &extents) const
 {
-    auto keeps = nest_.keepLevels(saf.target);
-    for (int k : keeps) {
+    const int S = mapping_.levelCount();
+    // Delivery boundary: follower traffic crosses into the first level
+    // inside the SAF's level that keeps the follower (S: the compute).
+    int b = S;
+    for (int k : nest_.keepLevels(saf.target)) {
         if (k > saf.level) {
-            return k;
+            b = k;
+            break;
         }
     }
-    return mapping_.levelCount();
-}
-
-std::vector<std::int64_t>
-SparseAnalysis::leaderRegionDimTiles(const IntersectionSaf &saf) const
-{
-    int b = safBoundary(saf);
-    std::vector<std::int64_t> dim_tiles;
-    if (b < mapping_.levelCount()) {
-        dim_tiles = mapping_.dimTilesAtLevel(workload_, b);
-    } else {
-        dim_tiles.assign(workload_.dimCount(), 1);
+    // The boundary tile covers the loops of subnests b..innermost.
+    dim_tiles.assign(workload_.dimCount(), 1);
+    for (int l = b; l < S; ++l) {
+        for (const auto &loop : mapping_.level(l).loops) {
+            dim_tiles[loop.dim] *= loop.bound;
+        }
     }
     // Extend by the follower datum's reuse region: the maximal
     // innermost run of loops irrelevant to the follower above the
     // delivery boundary (Fig. 10).
     bool stopped = false;
-    for (int l = std::min(b, mapping_.levelCount()); l-- > 0 && !stopped;) {
+    for (int l = b; l-- > 0 && !stopped;) {
         const auto &loops = mapping_.level(l).loops;
         for (std::size_t i = loops.size(); i-- > 0;) {
             const Loop &loop = loops[i];
@@ -89,109 +95,34 @@ SparseAnalysis::leaderRegionDimTiles(const IntersectionSaf &saf) const
             dim_tiles[loop.dim] *= loop.bound;
         }
     }
+    // Eliminate when any leader tile is empty.
+    double p_keep = 1.0;
+    for (int leader : saf.leaders) {
+        const auto &ds = workload_.tensor(leader);
+        if (!ds.density) {
+            continue;  // dense leader tiles are never empty
+        }
+        workload_.tensorTileExtentsInto(leader, dim_tiles.data(), extents);
+        p_keep *= (1.0 - ds.density->probEmptyShaped(extents));
+    }
+    return 1.0 - p_keep;
+}
+
+std::vector<std::int64_t>
+SparseAnalysis::leaderRegionDimTiles(const IntersectionSaf &saf) const
+{
+    std::vector<std::int64_t> dim_tiles;
+    Shape extents;
+    eliminationProbability(saf, dim_tiles, extents);
     return dim_tiles;
 }
 
 double
 SparseAnalysis::eliminationProbability(const IntersectionSaf &saf) const
 {
-    auto dim_tiles = leaderRegionDimTiles(saf);
-    double p_keep = 1.0;
-    for (int leader : saf.leaders) {
-        const auto &ds = workload_.tensor(leader);
-        if (!ds.density) {
-            // Dense leader tiles are never empty.
-            continue;
-        }
-        Shape extents = workload_.tensorTileExtents(leader, dim_tiles);
-        double p_empty = ds.density->probEmptyShaped(extents);
-        p_keep *= (1.0 - p_empty);
-    }
-    return 1.0 - p_keep;
-}
-
-double
-SparseAnalysis::eliminationProbabilityScratch(
-        const IntersectionSaf &saf,
-        std::vector<std::int64_t> &dim_tiles, Shape &extents) const
-{
-    // safBoundary without the keepLevels() vector: the first keeping
-    // level above the SAF (level 0 always keeps but can never be
-    // above it, since saf.level >= 0).
-    int b = mapping_.levelCount();
-    for (int l = saf.level + 1; l < mapping_.levelCount(); ++l) {
-        if (mapping_.level(l).keeps(saf.target)) {
-            b = l;
-            break;
-        }
-    }
-    // leaderRegionDimTiles with the dim-tile vector reused across
-    // SAFs; the multiplication sequence matches dimTilesAtLevel
-    // followed by the reuse-region extension exactly.
-    dim_tiles.assign(workload_.dimCount(), 1);
-    for (int l = b; l < mapping_.levelCount(); ++l) {
-        for (const auto &loop : mapping_.level(l).loops) {
-            dim_tiles[loop.dim] *= loop.bound;
-        }
-    }
-    bool stopped = false;
-    for (int l = std::min(b, mapping_.levelCount()); l-- > 0 && !stopped;) {
-        const auto &loops = mapping_.level(l).loops;
-        for (std::size_t i = loops.size(); i-- > 0;) {
-            const Loop &loop = loops[i];
-            if (loop.bound == 1) {
-                continue;
-            }
-            if (workload_.dimRelevant(saf.target, loop.dim)) {
-                stopped = true;
-                break;
-            }
-            dim_tiles[loop.dim] *= loop.bound;
-        }
-    }
-    double p_keep = 1.0;
-    for (int leader : saf.leaders) {
-        const auto &ds = workload_.tensor(leader);
-        if (!ds.density) {
-            continue;
-        }
-        workload_.tensorTileExtentsInto(leader, dim_tiles.data(), extents);
-        double p_empty = ds.density->probEmptyShaped(extents);
-        p_keep *= (1.0 - p_empty);
-    }
-    return 1.0 - p_keep;
-}
-
-ActionBreakdown
-SparseAnalysis::filterByIntersections(int t, int boundary,
-                                      double base) const
-{
-    // Gather applicable SAFs outer-first so eliminations compose the
-    // way propagation does (Sec. 5.3.4).
-    std::vector<const IntersectionSaf *> applicable;
-    for (const auto &saf : safs_.intersections) {
-        if (saf.target == t && saf.level < boundary) {
-            applicable.push_back(&saf);
-        }
-    }
-    std::sort(applicable.begin(), applicable.end(),
-              [](const IntersectionSaf *a, const IntersectionSaf *b) {
-                  return a->level < b->level;
-              });
-    ActionBreakdown out;
-    double remaining = base;
-    for (const auto *saf : applicable) {
-        double p = eliminationProbability(*saf);
-        double elim = remaining * p;
-        if (saf->kind == SafKind::Skip) {
-            out.skipped += elim;
-        } else {
-            out.gated += elim;
-        }
-        remaining -= elim;
-    }
-    out.actual = remaining;
-    return out;
+    std::vector<std::int64_t> dim_tiles;
+    Shape extents;
+    return eliminationProbability(saf, dim_tiles, extents);
 }
 
 double
@@ -280,13 +211,10 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     out.instances = dense.instances;
     out.compute_instances = dense.compute_instances;
 
-    // Hoisted per-SAF invariants: the elimination probability depends
-    // only on the workload, mapping, and density models — not on which
-    // flow is being filtered — so compute it once per SAF instead of
-    // once per (level, tensor, flow) filter call. Entries stay in
-    // specification order; each filter below sorts its own filtered
-    // subset exactly the way the per-call path did, so tie order (and
-    // therefore every double) is unchanged.
+    // Per-SAF elimination probabilities. p depends only on the
+    // workload, mapping and density models, not on the flow being
+    // filtered, so it is computed once per SAF. Entries stay in
+    // specification order.
     struct CachedSaf
     {
         int level;
@@ -296,15 +224,52 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     };
     SmallVector<CachedSaf, 8> cached;
     {
-        std::vector<std::int64_t> dim_tiles_scratch;
-        Shape extents_scratch;
+        std::vector<std::int64_t> dim_tiles;
+        Shape extents;
         for (const auto &saf : safs_.intersections) {
-            cached.push_back(
-                {saf.level, saf.target, saf.kind,
-                 eliminationProbabilityScratch(saf, dim_tiles_scratch,
-                                               extents_scratch)});
+            cached.push_back({saf.level, saf.target, saf.kind,
+                              eliminationProbability(saf, dim_tiles,
+                                                     extents)});
         }
     }
+
+    // Propagation (Sec. 5.3.4), the one elimination chain: the SAFs
+    // `select` picks apply outermost first, each eliminating the
+    // fraction p of what the outer ones left into its gated or skipped
+    // bucket; what survives stays actual. Every caller sorts a
+    // specification-order subset with the same comparator, so the tie
+    // order, and with it every double, is fixed.
+    auto chain = [&](auto select, double base) {
+        SmallVector<const CachedSaf *, 8> applied;
+        for (const CachedSaf &c : cached) {
+            if (select(c)) {
+                applied.push_back(&c);
+            }
+        }
+        std::sort(applied.begin(), applied.end(),
+                  [](const CachedSaf *a, const CachedSaf *b) {
+                      return a->level < b->level;
+                  });
+        ActionBreakdown split;
+        double rem = base;
+        for (const CachedSaf *saf : applied) {
+            double elim = rem * saf->p;
+            (saf->kind == SafKind::Skip ? split.skipped : split.gated) +=
+                elim;
+            rem -= elim;
+        }
+        split.actual = rem;
+        return split;
+    };
+    // Flows crossing boundary level `boundary` of tensor t are
+    // filtered by t's SAFs above that boundary.
+    auto filter = [&](int t, int boundary, double base) {
+        return chain(
+            [&](const CachedSaf &c) {
+                return c.target == t && c.level < boundary;
+            },
+            base);
+    };
 
     // First-match format lookup grid (same semantics as formatAt).
     ArenaScope scope(evalScratchArena());
@@ -335,49 +300,33 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     memos.resize(static_cast<std::size_t>(T));
 
     // ---- Compute action breakdown -------------------------------------
+    // Every storage SAF's elimination propagates to the compute.
     double effectual_frac = effectualFraction();
-    double remaining = 1.0;
-    double comp_skipped = 0.0;
-    double comp_gated = 0.0;
-    {
-        SmallVector<const CachedSaf *, 8> all;
-        for (const CachedSaf &c : cached) {
-            all.push_back(&c);
+    ActionBreakdown comp =
+        chain([](const CachedSaf &) { return true; }, 1.0);
+    double remaining = comp.actual;
+    double comp_skipped = comp.skipped;
+    double comp_gated = comp.gated;
+    // Eliminations can only remove ineffectual computes: clamp and
+    // hand back any over-elimination proportionally.
+    if (remaining < effectual_frac) {
+        double excess = effectual_frac - remaining;
+        double elim_total = comp_skipped + comp_gated;
+        if (elim_total > 0.0) {
+            comp_skipped -= excess * comp_skipped / elim_total;
+            comp_gated -= excess * comp_gated / elim_total;
         }
-        std::sort(all.begin(), all.end(),
-                  [](const CachedSaf *a, const CachedSaf *b) {
-                      return a->level < b->level;
-                  });
-        for (const auto *saf : all) {
-            double elim = remaining * saf->p;
-            if (saf->kind == SafKind::Skip) {
-                comp_skipped += elim;
-            } else {
-                comp_gated += elim;
-            }
-            remaining -= elim;
+        remaining = effectual_frac;
+    }
+    // Remaining ineffectual computes go to the compute SAF.
+    double ineff = std::max(0.0, remaining - effectual_frac);
+    if (!safs_.compute.empty() && ineff > 0.0) {
+        if (safs_.compute.front().kind == SafKind::Skip) {
+            comp_skipped += ineff;
+        } else {
+            comp_gated += ineff;
         }
-        // Eliminations can only remove ineffectual computes: clamp and
-        // hand back any over-elimination proportionally.
-        if (remaining < effectual_frac) {
-            double excess = effectual_frac - remaining;
-            double elim_total = comp_skipped + comp_gated;
-            if (elim_total > 0.0) {
-                comp_skipped -= excess * comp_skipped / elim_total;
-                comp_gated -= excess * comp_gated / elim_total;
-            }
-            remaining = effectual_frac;
-        }
-        // Remaining ineffectual computes go to the compute SAF.
-        double ineff = std::max(0.0, remaining - effectual_frac);
-        if (!safs_.compute.empty() && ineff > 0.0) {
-            if (safs_.compute.front().kind == SafKind::Skip) {
-                comp_skipped += ineff;
-            } else {
-                comp_gated += ineff;
-            }
-            remaining -= ineff;
-        }
+        remaining -= ineff;
     }
     out.computes.actual = dense.computes * remaining;
     out.computes.gated = dense.computes * comp_gated;
@@ -385,51 +334,6 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     out.effectual_computes = dense.computes * effectual_frac;
 
     double compute_total_frac = remaining + comp_gated + comp_skipped;
-    double compute_actual_frac =
-        compute_total_frac > 0.0 ? remaining / compute_total_frac : 1.0;
-    (void)compute_actual_frac;
-
-    // Allocation-free filterByIntersections over the cached SAF table.
-    // The filtered subset preserves specification order, and std::sort
-    // with the same level comparator over the same key sequence
-    // produces the same permutation the per-call path produced.
-    auto filter = [&](int t, int boundary, double base) {
-        SmallVector<const CachedSaf *, 8> applicable;
-        for (const CachedSaf &c : cached) {
-            if (c.target == t && c.level < boundary) {
-                applicable.push_back(&c);
-            }
-        }
-        std::sort(applicable.begin(), applicable.end(),
-                  [](const CachedSaf *a, const CachedSaf *b) {
-                      return a->level < b->level;
-                  });
-        ActionBreakdown b;
-        double rem = base;
-        for (const auto *saf : applicable) {
-            double elim = rem * saf->p;
-            if (saf->kind == SafKind::Skip) {
-                b.skipped += elim;
-            } else {
-                b.gated += elim;
-            }
-            rem -= elim;
-        }
-        b.actual = rem;
-        return b;
-    };
-
-    // Innermost keeping level per tensor (outputs only use it, but the
-    // scan is trivial); matches keepLevels(t).back().
-    SmallVector<int, 8> inner_keep;
-    inner_keep.assign(T, 0);
-    for (int t = 0; t < T; ++t) {
-        for (int l = 1; l < S; ++l) {
-            if (mapping_.level(l).keeps(t)) {
-                inner_keep[t] = l;
-            }
-        }
-    }
 
     // ---- Per-level traffic --------------------------------------------
     // Reused across every (level, tensor) format binding so the
@@ -499,7 +403,8 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
                 // the compute breakdown; other levels keep their dense
                 // flow (zeros still drain upward) modulo level-local
                 // SAFs and compression.
-                if (l == inner_keep[t] && compute_total_frac > 0.0) {
+                if (l == nest_.innermostKeepLevel(t) &&
+                    compute_total_frac > 0.0) {
                     double total = d.updates * data_ratio;
                     s.updates.actual =
                         total * remaining / compute_total_frac;

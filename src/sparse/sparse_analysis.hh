@@ -145,12 +145,14 @@ class SparseAnalysis
 
     /**
      * Per-dimension tile sizes of the leader region for an
-     * intersection SAF (Fig. 10 inference).
+     * intersection SAF (Fig. 10 inference). A view of the routine
+     * analyze() runs.
      */
     std::vector<std::int64_t>
     leaderRegionDimTiles(const IntersectionSaf &saf) const;
 
-    /** Probability that the SAF eliminates one follower access. */
+    /** Probability that the SAF eliminates one follower access, as
+     *  analyze() computes it. */
     double eliminationProbability(const IntersectionSaf &saf) const;
 
     /**
@@ -173,27 +175,18 @@ class SparseAnalysis
     const SafSpec &safs_;
     NestAnalysis nest_;
 
-    /** Delivery boundary of follower traffic for a SAF at its level. */
-    int safBoundary(const IntersectionSaf &saf) const;
-
     /**
-     * eliminationProbability with caller-owned scratch buffers so the
-     * hoisted per-SAF loop in analyze() runs allocation-free after the
-     * first SAF (the buffers keep their capacity). Identical
-     * arithmetic, term for term, to the public method.
+     * The one body of the Fig. 10 rule. Finds the delivery boundary
+     * (the first level inside saf.level that keeps the follower, or
+     * the compute), fills
+     * @p dim_tiles with the boundary tile extended by the follower
+     * datum's reuse region, and returns the multi-leader P(eliminate)
+     * = 1 - prod_i (1 - P_empty(leader_i tile)). The buffers are
+     * caller-owned so analyze() reuses their capacity across SAFs.
      */
-    double eliminationProbabilityScratch(const IntersectionSaf &saf,
-                                         std::vector<std::int64_t>
-                                             &dim_tiles,
-                                         Shape &extents) const;
-
-    /**
-     * Split a dense count into (actual, gated, skipped) according to
-     * the SAFs targeting tensor @p t that apply above boundary level
-     * @p boundary, starting from @p base actual actions.
-     */
-    ActionBreakdown filterByIntersections(int t, int boundary,
-                                          double base) const;
+    double eliminationProbability(const IntersectionSaf &saf,
+                                  std::vector<std::int64_t> &dim_tiles,
+                                  Shape &extents) const;
 
     /** Density of tensor t (1 when dense). */
     double density(int t) const;

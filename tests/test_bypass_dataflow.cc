@@ -298,7 +298,7 @@ TEST(BypassDataflow, AllBypassBelowBackingStoreKeepsOnlyDram)
     setKeepMask(m, 2, w, 0);
     NestAnalysis nest(w, arch, m);
     for (int t = 0; t < w.tensorCount(); ++t) {
-        EXPECT_EQ(nest.keepLevels(t), std::vector<int>{0});
+        EXPECT_EQ(nest.keepLevels(t), (SmallVector<int, 8>{0}));
         EXPECT_EQ(nest.innermostKeepLevel(t), 0);
     }
     expectMatchesOracle(w, arch, m, "all-bypass");

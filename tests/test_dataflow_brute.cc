@@ -237,6 +237,55 @@ TEST(BruteForce, IrrelevantAboveRelevantForcesRefetch)
     EXPECT_DOUBLE_EQ(traffic.at(1, A).fills, bruteFills(w, m, A, 1));
 }
 
+/**
+ * Closed-form layer accounting as an independent Step-1 oracle: the
+ * 64x64x3 -> 64, 3x3, pad-1 conv with the whole nest at the buffer,
+ * output-stationary (K, P, Q outer; the C, R, S reduction inner).
+ * Hand counts: 64*64*64 outputs x 27 MACs each; each MAC reads one
+ * weight and one input; each output is written once after its 27
+ * MACs, so reads plus drains come to 2 + 1/27 ~ 2.04 elements per MAC.
+ */
+TEST(ClosedForm, OutputStationaryConvLayer)
+{
+    ConvLayerShape shape;
+    shape.k = 64;
+    shape.c = 3;
+    shape.p = 64;
+    shape.q = 64;
+    shape.r = 3;
+    shape.s = 3;
+    Workload w = makeConv(shape);
+    Architecture arch = arch2();
+    Mapping m = MappingBuilder(w, arch)
+                    .temporal(1, "K", 64)
+                    .temporal(1, "P", 64)
+                    .temporal(1, "Q", 64)
+                    .temporal(1, "C", 3)
+                    .temporal(1, "R", 3)
+                    .temporal(1, "S", 3)
+                    .buildComplete();
+    DenseTraffic traffic = NestAnalysis(w, arch, m).analyze();
+    const int I = w.tensorIndex("Inputs");
+    const int W = w.tensorIndex("Weights");
+    const int O = w.tensorIndex("Outputs");
+    const double macs = 64.0 * 64 * 64 * 27;
+    ASSERT_EQ(macs, 7077888.0);
+    EXPECT_EQ(traffic.computes, macs);
+    EXPECT_EQ(traffic.at(1, I).reads, macs);
+    EXPECT_EQ(traffic.at(1, W).reads, macs);
+    EXPECT_EQ(traffic.at(1, O).drains, macs / 27);
+    EXPECT_NEAR((traffic.at(1, I).reads + traffic.at(1, W).reads +
+                 traffic.at(1, O).drains) / macs,
+                2.04, 0.005);
+    // Each operand arrives once. The weights are 3*3*3*64; the model
+    // fetches the padded 66x66x3 input, where the hand count takes the
+    // unpadded 64*64*3 = 12,288.
+    EXPECT_EQ(traffic.at(1, W).fills, 1728.0);
+    EXPECT_EQ(traffic.at(1, I).fills, 66.0 * 66 * 3);
+    // Partial sums stay in the accumulator: no read-modify-write.
+    EXPECT_EQ(traffic.at(1, O).acc_reads, 0.0);
+}
+
 /** Random split/order fuzz against the brute-force interpreter. */
 class BruteFuzz : public ::testing::TestWithParam<int>
 {};

@@ -216,10 +216,74 @@ randomSafs(const Workload &w, const Architecture &arch,
     return s;
 }
 
-Tuple
-makeTuple(int index)
+/**
+ * A stack of 2-3 intersection SAFs on one follower, so the elimination
+ * chain composes several SAFs on the same flow. The first two SAFs
+ * are one gate and one skip, on the same level for even @p index and
+ * on distinct levels for odd; the third (when drawn) is random.
+ */
+SafSpec
+stackedSafs(const Workload &w, const Architecture &arch, int index,
+            std::mt19937_64 &rng)
 {
-    std::mt19937_64 rng(0xD1FFull * 2654435761u + index);
+    SafSpec s;
+    std::uniform_int_distribution<int> coin(0, 1);
+    const int L = arch.levelCount();
+    std::uniform_int_distribution<int> lvl(0, L - 1);
+    const int T = w.tensorCount();
+    for (int t = 0; t < T; ++t) {
+        if (coin(rng)) {
+            s.addFormat(lvl(rng), t, randomFormat(rng));
+        }
+    }
+    std::uniform_int_distribution<int> pick(0, T - 1);
+    const int follower = pick(rng);
+    std::vector<int> operands;
+    for (int t = 0; t < T; ++t) {
+        if (!w.tensors()[t].is_output && t != follower) {
+            operands.push_back(t);
+        }
+    }
+    std::uniform_int_distribution<int> depth(2, 3);
+    const int n = depth(rng);
+    int first_level = 0;
+    bool first_skip = false;
+    for (int i = 0; i < n; ++i) {
+        std::vector<int> leaders;
+        for (int o : operands) {
+            if (leaders.empty() || coin(rng)) {
+                leaders.push_back(o);
+            }
+        }
+        int at = lvl(rng);
+        bool skip = coin(rng);
+        if (i == 0) {
+            first_level = at;
+            first_skip = skip;
+        } else if (i == 1) {
+            at = index % 2 == 0 ? first_level
+                                : (first_level + 1 + at % (L - 1)) % L;
+            skip = !first_skip;
+        }
+        if (skip) {
+            s.addSkip(at, follower, leaders);
+        } else {
+            s.addGate(at, follower, leaders);
+        }
+    }
+    if (coin(rng)) {
+        s.addComputeSaf(coin(rng) ? SafKind::Skip : SafKind::Gate);
+    }
+    return s;
+}
+
+/** Tuple @p index of the single-SAF-per-follower family, or of the
+ *  stacked-SAF family (own seed, so neither perturbs the other). */
+Tuple
+makeTuple(int index, bool stacked = false)
+{
+    std::mt19937_64 rng((stacked ? 0x57ACull : 0xD1FFull) * 2654435761u +
+                        index);
     std::uniform_real_distribution<double> dens(0.05, 0.95);
     std::uniform_int_distribution<int> kind(0, 5);
 
@@ -269,7 +333,8 @@ makeTuple(int index)
     }
     Architecture arch = randomArch(rng);
     Mapping mapping = randomMapping(w, arch, rng);
-    SafSpec safs = randomSafs(w, arch, rng);
+    SafSpec safs = stacked ? stackedSafs(w, arch, index, rng)
+                           : randomSafs(w, arch, rng);
     return Tuple{std::move(w), std::move(arch), std::move(mapping),
                  std::move(safs)};
 }
@@ -312,6 +377,29 @@ TEST_P(EngineDifferential, DeterministicAcrossRepeatedEvaluations)
 // >= 200 randomized tuples, as the speed-campaign contract demands.
 INSTANTIATE_TEST_SUITE_P(Seeded, EngineDifferential,
                          ::testing::Range(0, 208));
+
+class EngineDifferentialStacked : public ::testing::TestWithParam<int>
+{};
+
+/** The same contract with 2-3 SAFs stacked on one follower: the
+ *  elimination chain's order and composition match the oracle. */
+TEST_P(EngineDifferentialStacked, MatchesNaiveReferenceBitForBit)
+{
+    Tuple tup = makeTuple(GetParam(), true);
+    ASSERT_GE(tup.safs.intersections.size(), 2u);
+    Engine engine(tup.arch);
+    EvalResult opt =
+        engine.evaluate(tup.workload, tup.mapping, tup.safs);
+    EvalResult ref = refmodel::referenceEvaluate(
+        tup.workload, tup.arch, tup.mapping, tup.safs);
+    ASSERT_TRUE(bitIdentical(opt, ref))
+        << "stacked tuple " << GetParam() << " diverged: opt cycles "
+        << opt.cycles << " energy " << opt.energy_pj << " vs ref cycles "
+        << ref.cycles << " energy " << ref.energy_pj;
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacked, EngineDifferentialStacked,
+                         ::testing::Range(0, 48));
 
 /** BatchEvaluator fan-out must stay bit-identical to sequential
  *  uncached evaluation at every worker count (per-thread arenas must

@@ -11,6 +11,7 @@
 #include "dataflow/dense_traffic.hh"
 #include "density/hypergeometric.hh"
 #include "density/structured.hh"
+#include "model/engine.hh"
 #include "sparse/sparse_analysis.hh"
 #include "workload/builders.hh"
 
@@ -103,6 +104,38 @@ TEST(LeaderTile, ColumnLeaderEliminatesLess)
     double p2 = SparseAnalysis(s2.w, s2.arch, s2.mapping, safs2)
                     .eliminationProbability(safs2.intersections[0]);
     EXPECT_GT(p1, p2);
+}
+
+TEST(LeaderTile, RejectsOutOfRangeLeader)
+{
+    // A leader index outside the tensor list is a malformed spec: it
+    // fails with a FatalError naming the leader, both when the Step-2
+    // analysis is built and through the engine, instead of reading
+    // past the tensor list.
+    Scenario s(true);
+    Engine engine(s.arch);
+    for (int leader : {7, -1}) {
+        SCOPED_TRACE("leader=" + std::to_string(leader));
+        SafSpec safs;
+        safs.addSkip(1, s.B, {leader});
+        const std::string named = "leader tensor " + std::to_string(leader);
+        try {
+            SparseAnalysis an(s.w, s.arch, s.mapping, safs);
+            FAIL() << "SparseAnalysis accepted the spec";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(named),
+                      std::string::npos)
+                << err.what();
+        }
+        try {
+            engine.evaluate(s.w, s.mapping, safs);
+            FAIL() << "Engine::evaluate accepted the spec";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(named),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(SparseTraffic, SkipSplitsReads)
