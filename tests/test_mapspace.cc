@@ -3,7 +3,8 @@
  * Tests for the mapspace IR: constraint validation and pruning-by-
  * construction, exact size accounting, indexed enumeration, the
  * coordinate (Point) form with its neighbourhoods and random
- * neighbour draws, and empty-space detection.
+ * neighbour draws, empty-space detection, and pinned digests of
+ * every access pattern's output.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "apps/designs.hh"
 #include "apps/dnn_models.hh"
 #include "common/logging.hh"
+#include "common/mathutil.hh"
 #include "mapper/mapper.hh"
 #include "workload/builders.hh"
 
@@ -35,6 +37,38 @@ searchArch()
     buf.capacity_words = 4096;
     buf.bandwidth_words_per_cycle = 8.0;
     return Architecture("search", {dram, buf}, ComputeSpec{});
+}
+
+/** A 2x2x2x2 CONV: C, R and S share one tensor-relevance class. */
+Workload
+tinyConv()
+{
+    ConvLayerShape shape;
+    shape.name = "tiny";
+    shape.k = 2;
+    shape.c = 2;
+    shape.r = 2;
+    shape.s = 2;
+    return makeConv(shape);
+}
+
+/** DRAM over two capacity-bound buffers. */
+Architecture
+threeLevelArch()
+{
+    StorageLevelSpec dram;
+    dram.name = "DRAM";
+    dram.storage_class = StorageClass::DRAM;
+    dram.bandwidth_words_per_cycle = 16.0;
+    StorageLevelSpec l1;
+    l1.name = "L1";
+    l1.capacity_words = 1024;
+    l1.bandwidth_words_per_cycle = 8.0;
+    StorageLevelSpec l0;
+    l0.name = "L0";
+    l0.capacity_words = 256;
+    l0.bandwidth_words_per_cycle = 4.0;
+    return Architecture("three", {dram, l1, l0}, ComputeSpec{});
 }
 
 /** Buffer loop order fixed to (M, K): N may not be tiled there. */
@@ -353,26 +387,8 @@ TEST(MapSpace, PruningPassesAreLossless)
     // reduction to collapse (C, R, S all touch Inputs and Weights but
     // not Outputs), and a three-level hierarchy gives keep-dominance
     // an inner keep level to compare against.
-    ConvLayerShape shape;
-    shape.name = "tiny";
-    shape.k = 2;
-    shape.c = 2;
-    shape.r = 2;
-    shape.s = 2;
-    Workload w = makeConv(shape);
-    StorageLevelSpec dram;
-    dram.name = "DRAM";
-    dram.storage_class = StorageClass::DRAM;
-    dram.bandwidth_words_per_cycle = 16.0;
-    StorageLevelSpec l1;
-    l1.name = "L1";
-    l1.capacity_words = 1024;
-    l1.bandwidth_words_per_cycle = 8.0;
-    StorageLevelSpec l0;
-    l0.name = "L0";
-    l0.capacity_words = 256;
-    l0.bandwidth_words_per_cycle = 4.0;
-    Architecture arch("three", {dram, l1, l0}, ComputeSpec{});
+    Workload w = tinyConv();
+    Architecture arch = threeLevelArch();
 
     MapSpaceOptions raw_opts;
     raw_opts.prune_symmetry = false;
@@ -418,6 +434,165 @@ TEST(MapSpace, PruningPassesAreLossless)
     const double pruned_best = best_of(pruned);
     ASSERT_TRUE(std::isfinite(raw_best));
     EXPECT_DOUBLE_EQ(pruned_best, raw_best);
+}
+
+/** Running digest of the coordinates of one point. */
+std::uint64_t
+hashPoint(std::uint64_t h, const MapSpace::Point &p)
+{
+    for (std::size_t t : p.tiling) {
+        h = math::hashCombine(h, t);
+    }
+    for (const auto &order : p.order) {
+        h = math::hashCombine(h, order.size());
+        for (int d : order) {
+            h = math::hashCombine(h, static_cast<std::uint64_t>(d));
+        }
+    }
+    for (int s : p.spatial) {
+        h = math::hashCombine(h, static_cast<std::uint64_t>(s));
+    }
+    for (std::size_t k : p.keep) {
+        h = math::hashCombine(h, k);
+    }
+    return h;
+}
+
+/** Pinned digests of every access pattern of one space. */
+struct SpaceDigests
+{
+    std::uint64_t enumeration = 0;
+    std::uint64_t sizes = 0;
+    std::uint64_t samples = 0;
+    std::uint64_t neighbors = 0;
+    std::uint64_t coarse = 0;
+    std::uint64_t crossover = 0;
+};
+
+SpaceDigests
+digestSpace(const MapSpace &space)
+{
+    using math::hashCombine;
+    using math::hashDouble;
+    SpaceDigests out;
+    std::uint64_t h = math::kHashSeed;
+    for (std::int64_t i = 0; i < space.size().enumerable; ++i) {
+        h = hashCombine(h, space.mappingAt(i).signature());
+    }
+    out.enumeration = h;
+
+    const MapSpaceSize &size = space.size();
+    const MapSpacePruneStats &stats = space.pruneStats();
+    h = hashDouble(math::kHashSeed, size.points);
+    h = hashCombine(h, size.exact ? 1 : 0);
+    h = hashCombine(h, static_cast<std::uint64_t>(size.enumerable));
+    h = hashDouble(h, stats.raw_points);
+    h = hashDouble(h, stats.pruned_symmetry);
+    h = hashDouble(h, stats.pruned_dominated_keeps);
+    h = hashDouble(h, stats.pruned_capacity_tilings);
+    h = hashCombine(h, stats.exact ? 1 : 0);
+    out.sizes = hashCombine(h, static_cast<std::uint64_t>(
+                                   space.tilingCount()));
+
+    h = math::kHashSeed;
+    for (std::uint64_t s = 0; s < 256; ++s) {
+        h = hashCombine(h, space.sampleMapping(s).signature());
+    }
+    out.samples = h;
+
+    h = math::kHashSeed;
+    for (std::uint64_t s = 0; s < 8; ++s) {
+        for (const MapSpace::Point &p :
+             space.neighbors(space.samplePoint(s))) {
+            h = hashPoint(h, p);
+        }
+    }
+    out.neighbors = h;
+
+    h = math::kHashSeed;
+    const std::int64_t tilings = space.tilingCount();
+    for (std::int64_t t : {std::int64_t{0}, tilings / 3, tilings / 2,
+                           tilings - 1}) {
+        for (const MapSpace::Point &p : space.coarsePoints(t, 4)) {
+            h = hashPoint(h, p);
+        }
+    }
+    out.coarse = h;
+
+    std::mt19937_64 rng(42);
+    out.crossover = hashPoint(
+        math::kHashSeed,
+        space.crossover(space.samplePoint(0), space.samplePoint(1), rng));
+    return out;
+}
+
+TEST(MapSpace, OutputsArePinned)
+{
+    // Every access pattern's output, digested and pinned: the indexed
+    // enumeration order, the size and prune accounting, the seeded
+    // sampler's RNG stream, the neighbour order, the coarse points,
+    // and one seeded crossover. A refactor of the space must leave all
+    // of them bit-identical.
+    Workload w = makeMatmul(4, 4, 4);
+    Architecture arch = searchArch();
+    MapSpaceOptions raw;
+    raw.prune_symmetry = false;
+    raw.prune_dominated_keeps = false;
+    raw.prune_capacity_tilings = false;
+    MapSpaceOptions keep_all;
+    keep_all.explore_bypass = false;
+    MapspaceConstraints cons;
+    cons.levels.resize(2);
+    cons.levels[0].spatial_dims = {w.dimIndex("M")};
+    cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
+    cons.levels[1].keep = {0, 2};
+    Workload conv = makeConv(apps::vgg16ConvLayers()[2]);
+    apps::DesignPoint v2 = apps::buildEyerissV2Pe(conv);
+    Workload tiny = tinyConv();
+    Architecture three = threeLevelArch();
+
+    struct Case
+    {
+        const char *name;
+        MapSpace space;
+        SpaceDigests expected;
+    };
+    const Case cases[] = {
+        {"matmul4 default", MapSpace(w, arch),
+         {13037926425242429398ull, 3845031102075478740ull,
+          12451180277462118406ull, 9506359180360173097ull,
+          9878365773082232323ull, 3864733216256333753ull}},
+        {"matmul4 raw", MapSpace(w, arch, {}, raw),
+         {15816067328484490374ull, 3845031102075478740ull,
+          12451180277462118406ull, 9506359180360173097ull,
+          9878365773082232323ull, 3864733216256333753ull}},
+        {"matmul4 keep-all", MapSpace(w, arch, {}, keep_all),
+         {2094227464459552715ull, 14631355044059908538ull,
+          10732340643933554136ull, 5964238317680246980ull,
+          9932043203419799242ull, 3864733216256333753ull}},
+        {"matmul4 constrained", MapSpace(w, arch, cons),
+         {7906934348190264422ull, 6757472081572838044ull,
+          16410723377390626065ull, 9057291514985546337ull,
+          3990315178061057986ull, 12929484127432574441ull}},
+        {"vgg16-conv2 eyeriss-v2-pe", MapSpace(conv, v2.arch),
+         {1469598103934665603ull, 5722644289362542973ull,
+          1816565171697610863ull, 2374217630509824369ull,
+          13761578536470735055ull, 7276422279533345003ull}},
+        {"tiny-conv three-level", MapSpace(tiny, three),
+         {2592558665379659517ull, 13532137466012100486ull,
+          4848921898194062205ull, 720578417687565597ull,
+          3130229598674001747ull, 1404374754687209177ull}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        SpaceDigests got = digestSpace(c.space);
+        EXPECT_EQ(got.enumeration, c.expected.enumeration);
+        EXPECT_EQ(got.sizes, c.expected.sizes);
+        EXPECT_EQ(got.samples, c.expected.samples);
+        EXPECT_EQ(got.neighbors, c.expected.neighbors);
+        EXPECT_EQ(got.coarse, c.expected.coarse);
+        EXPECT_EQ(got.crossover, c.expected.crossover);
+    }
 }
 
 TEST(MapSpaceConstraints, ValidationRejectsBrokenConstraints)
