@@ -6,9 +6,15 @@
  *
  * Each row re-runs the corresponding validation experiment (see
  * fig11/fig12/fig13 benches for the detailed versions).
+ *
+ * Exit-code gate: every row must land in its paper band (accuracy at
+ * least the paper's figure, the Eyeriss gating saving within 43 +- 3
+ * percentage points); the binary prints a FAIL line per row that does
+ * not and exits 1.
  */
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "apps/designs.hh"
@@ -187,6 +193,17 @@ stcAccuracy()
     return (1.0 - math::relativeError(speedup, 2.0)) * 100.0;
 }
 
+/** One Table 6 row and the band its measurement must land in. */
+struct Row
+{
+    const char *design;
+    const char *output;
+    double measured;
+    const char *paper;
+    double lo;
+    double hi;
+};
+
 } // namespace
 
 int
@@ -195,18 +212,32 @@ main()
     bench::header("Table 6: validation summary");
     std::printf("%-14s %-26s %-10s %-10s\n", "design", "output",
                 "accuracy%", "paper%");
-    std::printf("%-14s %-26s %-10.1f %-10s\n", "SCNN",
-                "runtime activities", scnnAccuracy(), "99.9");
-    std::printf("%-14s %-26s %-10.1f %-10s\n", "EyerissV2 PE",
-                "processing latency", eyerissV2Accuracy(), ">98");
-    std::printf("%-14s %-26s %-10.1f %-10s\n", "Eyeriss",
-                "compression rate", eyerissAccuracy(), ">95");
-    std::printf("%-14s %-26s %-10.1f %-10s\n", "Eyeriss",
-                "PE energy saving (max %)", eyerissGatingSaving(),
-                "43 (chip 45)");
-    std::printf("%-14s %-26s %-10.1f %-10s\n", "DSTC",
-                "processing latency", dstcAccuracy(), "92.4");
-    std::printf("%-14s %-26s %-10.1f %-10s\n", "STC",
-                "processing latency", stcAccuracy(), "100");
-    return 0;
+    const double kNone = std::numeric_limits<double>::infinity();
+    const Row rows[] = {
+        {"SCNN", "runtime activities", scnnAccuracy(), "99.9", 99.9,
+         kNone},
+        {"EyerissV2 PE", "processing latency", eyerissV2Accuracy(), ">98",
+         98.0, kNone},
+        {"Eyeriss", "compression rate", eyerissAccuracy(), ">95", 95.0,
+         kNone},
+        {"Eyeriss", "PE energy saving (max %)", eyerissGatingSaving(),
+         "43 (chip 45)", 40.0, 46.0},
+        {"DSTC", "processing latency", dstcAccuracy(), "92.4", 92.4,
+         kNone},
+        {"STC", "processing latency", stcAccuracy(), "100", 99.9, kNone},
+    };
+    int failures = 0;
+    for (const Row &row : rows) {
+        std::printf("%-14s %-26s %-10.1f %-10s\n", row.design, row.output,
+                    row.measured, row.paper);
+    }
+    for (const Row &row : rows) {
+        if (row.measured < row.lo || row.measured > row.hi) {
+            std::printf("FAIL: %s %s = %.2f is outside [%.1f, %.1f]\n",
+                        row.design, row.output, row.measured, row.lo,
+                        row.hi);
+            ++failures;
+        }
+    }
+    return failures == 0 ? 0 : 1;
 }

@@ -105,11 +105,12 @@ struct MapperOptions
      */
     std::size_t pareto_capacity = 32;
     /**
-     * Axis materialization limits, bypass exploration (on by
-     * default), and the construction pipeline's pruning passes. The
-     * capacity-dominance pass is automatically disabled when the
-     * search's SAF spec carries compression formats (it is only
-     * provable against dense footprints).
+     * Bypass exploration (on by default) and the construction
+     * pipeline's pruning passes; the mapspace's size limits are
+     * constants (see mapspace.hh). The capacity-dominance pass is
+     * automatically disabled when the search's SAF spec carries
+     * compression formats (it is only provable against dense
+     * footprints).
      */
     MapSpaceOptions mapspace;
     /**

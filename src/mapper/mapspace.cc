@@ -1,9 +1,9 @@
 /**
  * @file
  * Mapspace IR implementation: constraint pruning, axis
- * materialization, exact size accounting, and the three access
- * patterns (seeded sampling, indexed enumeration, coordinate
- * neighborhoods).
+ * materialization, exact size accounting, and the access patterns
+ * (seeded sampling, indexed enumeration, coordinate neighborhoods),
+ * which share one body per axis rule.
  */
 
 #include "mapper/mapspace.hh"
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
 
 #include "common/logging.hh"
@@ -19,6 +20,18 @@
 namespace sparseloop {
 
 namespace {
+
+/** Most splits materialized per dimension; beyond it the tiling axis
+ *  stays implicit (sampling works, indexing and encoding don't). */
+constexpr std::int64_t kMaxSplitsPerDim = std::int64_t{1} << 16;
+/** Most tiling combinations accounted exactly. */
+constexpr std::int64_t kMaxTilings = std::int64_t{1} << 16;
+/** Most points served by indexed enumeration. */
+constexpr std::int64_t kMaxEnumerablePoints = std::int64_t{1} << 22;
+/** Widest workload and deepest hierarchy: dimension sets are 64-bit
+ *  masks, free-level keep combinations 32-bit ones. */
+constexpr int kMaxDims = 64;
+constexpr int kMaxLevels = 32;
 
 /** Largest tiled-dimension set whose canonical orders are
  *  materialized; beyond it the level falls back to raw factorial
@@ -35,18 +48,11 @@ countBits(std::uint64_t mask)
     return n;
 }
 
-/** First duplicate value in a list, or -1 when all unique. */
-int
-firstDuplicate(const std::vector<int> &values)
+bool
+contains(const std::vector<int> &values, int value)
 {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        for (std::size_t j = i + 1; j < values.size(); ++j) {
-            if (values[i] == values[j]) {
-                return values[i];
-            }
-        }
-    }
-    return -1;
+    return std::find(values.begin(), values.end(), value) !=
+           values.end();
 }
 
 void
@@ -60,10 +66,11 @@ validateIndexList(const std::vector<int> &values, int limit, int level,
                      " but valid indices are [0, ", limit, ")");
         }
     }
-    int dup = firstDuplicate(values);
-    if (dup >= 0) {
-        SL_FATAL("level ", level, " constraint: ", axis, " lists ",
-                 what, " ", dup, " more than once");
+    for (auto it = values.begin(); it != values.end(); ++it) {
+        if (std::find(it + 1, values.end(), *it) != values.end()) {
+            SL_FATAL("level ", level, " constraint: ", axis, " lists ",
+                     what, " ", *it, " more than once");
+        }
     }
 }
 
@@ -71,8 +78,7 @@ validateIndexList(const std::vector<int> &values, int limit, int level,
  *  levels (ascending), one divisor of the residual per level. */
 void
 enumerateSplits(const std::vector<int> &allowed, std::size_t pos,
-                std::int64_t remaining, int level_count,
-                std::vector<std::int64_t> &current,
+                std::int64_t remaining, std::vector<std::int64_t> &current,
                 std::vector<std::vector<std::int64_t>> &out)
 {
     if (pos == allowed.size()) {
@@ -88,13 +94,25 @@ enumerateSplits(const std::vector<int> &allowed, std::size_t pos,
         current[static_cast<std::size_t>(allowed[pos])] = 1;
         return;
     }
-    (void)level_count;
     for (std::int64_t f : math::divisors(remaining)) {
         current[static_cast<std::size_t>(allowed[pos])] = f;
-        enumerateSplits(allowed, pos + 1, remaining / f, level_count,
-                       current, out);
+        enumerateSplits(allowed, pos + 1, remaining / f, current, out);
     }
     current[static_cast<std::size_t>(allowed[pos])] = 1;
+}
+
+/** Append one level's loops: @p order outer first, @p spatial_dim (or
+ *  -1) the parallel one. */
+void
+appendLoops(LevelNest &nest, const std::vector<int> &order,
+            const std::vector<std::int64_t> &lf, int spatial_dim)
+{
+    for (int d : order) {
+        SL_ASSERT(lf[static_cast<std::size_t>(d)] > 1,
+                  "loop order lists an untiled dimension");
+        nest.loops.push_back(
+            {d, lf[static_cast<std::size_t>(d)], d == spatial_dim});
+    }
 }
 
 } // namespace
@@ -125,18 +143,23 @@ validateConstraints(const Workload &workload, const Architecture &arch,
 }
 
 MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
-                   MapspaceConstraints constraints,
+                   const MapspaceConstraints &constraints,
                    MapSpaceOptions options)
-    : workload_(workload), arch_(arch),
-      constraints_(std::move(constraints)), options_(options)
+    : workload_(workload), arch_(arch), options_(options)
 {
-    validateConstraints(workload_, arch_, constraints_);
     const int S = arch_.levelCount();
     const int D = workload_.dimCount();
-    level_cons_.assign(static_cast<std::size_t>(S), LevelConstraint{});
-    if (!constraints_.levels.empty()) {
-        level_cons_ = constraints_.levels;
+    if (D > kMaxDims) {
+        SL_FATAL("mapspace supports at most ", kMaxDims,
+                 " workload dimensions, but the workload has ", D);
     }
+    if (S > kMaxLevels) {
+        SL_FATAL("mapspace supports at most ", kMaxLevels,
+                 " storage levels, but the architecture has ", S);
+    }
+    validateConstraints(workload_, arch_, constraints);
+    level_cons_ = constraints.levels;
+    level_cons_.resize(static_cast<std::size_t>(S));
 
     // Tiling axes: admissible levels and split counts per dimension.
     allowed_.resize(static_cast<std::size_t>(D));
@@ -161,14 +184,14 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
             math::orderedFactorizationCount(
                 bound, static_cast<int>(lvls.size()));
         if (split_count_[static_cast<std::size_t>(d)] <=
-            options_.max_splits_per_dim) {
+            kMaxSplitsPerDim) {
             auto &out = splits_[static_cast<std::size_t>(d)];
             std::vector<std::int64_t> current(
                 static_cast<std::size_t>(S), 1);
             if (lvls.empty()) {
                 out.push_back(current);  // bound == 1: the empty split
             } else {
-                enumerateSplits(lvls, 0, bound, S, current, out);
+                enumerateSplits(lvls, 0, bound, current, out);
             }
             std::sort(out.begin(), out.end());
             SL_ASSERT(static_cast<std::int64_t>(out.size()) ==
@@ -182,18 +205,23 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
     keep_choices_.resize(static_cast<std::size_t>(S));
     for (int l = 0; l < S; ++l) {
         auto &choices = keep_choices_[static_cast<std::size_t>(l)];
-        const LevelConstraint &con =
-            level_cons_[static_cast<std::size_t>(l)];
-        if (!con.keep.empty()) {
+        const auto &keep = level_cons_[static_cast<std::size_t>(l)].keep;
+        if (!keep.empty()) {
             std::vector<bool> mask(static_cast<std::size_t>(T), false);
-            for (int t : con.keep) {
+            for (int t : keep) {
                 mask[static_cast<std::size_t>(t)] = true;
             }
             choices.push_back(std::move(mask));
-        } else if (options_.explore_bypass && l > 0 && T <= 16) {
-            // All masks; the all-keep mask is canonically the empty
-            // vector (matching the sampler and Mapping::signature()).
-            choices.emplace_back();
+            continue;
+        }
+        // The all-keep mask is canonically the empty vector (matching
+        // the sampler and Mapping::signature()).
+        choices.emplace_back();
+        if (options_.explore_bypass && l > 0 && T <= 16) {
+            // An open level offers every mask, which is what lets the
+            // joint keep axis factorize per tensor in the dominance
+            // pass.
+            keep_free_levels_.push_back(l);
             for (std::uint32_t bits = 0;
                  bits + 1 < (1u << static_cast<unsigned>(T)); ++bits) {
                 std::vector<bool> mask(static_cast<std::size_t>(T));
@@ -203,8 +231,6 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
                 }
                 choices.push_back(std::move(mask));
             }
-        } else {
-            choices.emplace_back();  // keep-all
         }
     }
 
@@ -212,58 +238,29 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
     // are identical commute as adjacent loops (swapping them changes
     // no footprint, reuse multiplier, or multicast factor), so the
     // symmetry pass enumerates one canonical order per class run.
-    dim_class_.assign(static_cast<std::size_t>(D), -1);
-    {
-        std::vector<std::vector<bool>> signatures;
-        for (int d = 0; d < D; ++d) {
-            std::vector<bool> sig(static_cast<std::size_t>(T));
-            for (int t = 0; t < T; ++t) {
-                sig[static_cast<std::size_t>(t)] =
-                    workload_.dimRelevant(t, d);
-            }
-            auto it =
-                std::find(signatures.begin(), signatures.end(), sig);
-            if (it == signatures.end()) {
-                signatures.push_back(sig);
-                it = std::prev(signatures.end());
-            }
-            dim_class_[static_cast<std::size_t>(d)] =
-                static_cast<int>(it - signatures.begin());
+    std::vector<std::vector<bool>> signatures;
+    for (int d = 0; d < D; ++d) {
+        std::vector<bool> sig(static_cast<std::size_t>(T));
+        for (int t = 0; t < T; ++t) {
+            sig[static_cast<std::size_t>(t)] = workload_.dimRelevant(t, d);
         }
-    }
-
-    // Levels whose keep axis is open. By construction an open level
-    // offers every mask, which is what lets the joint keep axis
-    // factorize per tensor in the dominance pass.
-    for (int l = 0; l < S; ++l) {
-        if (keep_choices_[static_cast<std::size_t>(l)].size() > 1) {
-            keep_free_levels_.push_back(l);
+        auto it = std::find(signatures.begin(), signatures.end(), sig);
+        if (it == signatures.end()) {
+            it = signatures.insert(it, std::move(sig));
         }
+        dim_class_.push_back(static_cast<int>(it - signatures.begin()));
     }
-
-    // Size accounting: exact (with enumeration prefix sums) when the
-    // tiling cross-product is materialized and small enough, estimate
-    // otherwise.
-    std::int64_t tilings = 1;
-    bool tilings_ok = !empty_;
-    for (int d = 0; d < D && tilings_ok; ++d) {
-        if (splits_[static_cast<std::size_t>(d)].empty()) {
-            tilings_ok = false;
-            break;
-        }
-        tilings = math::mulSat(
-            tilings, split_count_[static_cast<std::size_t>(d)]);
-    }
-    tilings_ok = tilings_ok && tilings <= options_.max_tilings;
 
     if (empty_) {
         size_ = {0.0, true, 0};
         prune_stats_.exact = true;
         return;
     }
-    if (tilings_ok) {
-        std::vector<std::int64_t> radices(split_count_.begin(),
-                                          split_count_.end());
+    // Size accounting: exact (with enumeration prefix sums) when the
+    // tiling cross-product is materialized and small enough, estimate
+    // otherwise.
+    const std::int64_t tilings = tilingCount();
+    if (pointEncodable() && tilings <= kMaxTilings) {
         std::int64_t total = 0;
         bool saturated = false;
         prune_stats_ = {};
@@ -271,17 +268,11 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
         tiling_prefix_.reserve(static_cast<std::size_t>(tilings) + 1);
         tiling_prefix_.push_back(0);
         for (std::int64_t t = 0; t < tilings; ++t) {
-            auto digits = math::mixedRadixDecode(t, radices);
-            std::vector<std::size_t> tiling(digits.begin(),
-                                            digits.end());
-            auto factors = tilingFactors(tiling);
+            Factors factors = tilingFactors(tilingAt(t));
             for (int l = 0; l < S; ++l) {
-                if (!orderConstrained(l)) {
-                    ensureCanonical(tiledMask(
-                        factors[static_cast<std::size_t>(l)]));
-                }
+                ensureCanonical(l, factors[static_cast<std::size_t>(l)]);
             }
-            BlockCounts c = blockCounts(factors);
+            Block::Counts c = Block(*this, factors).counts();
             bool cap_pruned = options_.prune_capacity_tilings &&
                               capacityPruned(factors);
             prune_stats_.raw_points += c.raw;
@@ -290,26 +281,21 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
             if (cap_pruned) {
                 prune_stats_.pruned_capacity_tilings += c.pruned;
             }
-            std::int64_t block = cap_pruned ? 0 : c.block;
+            std::int64_t block = cap_pruned ? 0 : c.size;
             // int64 saturation stops the enumeration prefix sums but
             // not the per-pass accounting, which runs in doubles.
-            if (!saturated &&
-                total >
-                    std::numeric_limits<std::int64_t>::max() - block) {
-                saturated = true;
-            }
+            saturated = saturated ||
+                total > std::numeric_limits<std::int64_t>::max() - block;
             if (!saturated) {
                 total += block;
                 tiling_prefix_.push_back(total);
             }
         }
         if (!saturated) {
-            size_.points = static_cast<double>(total);
-            size_.exact = true;
-            size_.enumerable =
-                total <= options_.max_enumerable_points ? total : -1;
+            size_ = {static_cast<double>(total), true,
+                     total <= kMaxEnumerablePoints ? total : -1};
         }
-        if (saturated || size_.enumerable < 0) {
+        if (size_.enumerable < 0) {
             tiling_prefix_.clear();
         }
         if (!saturated) {
@@ -335,13 +321,8 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
                 continue;
             }
             ++dims_here;
-            const LevelConstraint &con =
-                level_cons_[static_cast<std::size_t>(l)];
-            bool spatial_ok = con.spatial_dims.empty() ||
-                std::find(con.spatial_dims.begin(),
-                          con.spatial_dims.end(),
-                          d) != con.spatial_dims.end();
-            if (spatial_ok && arch_.level(l).fanout > 1) {
+            // Spatial if the dimension could fill the whole fanout.
+            if (spatialCandidate(l, d, arch_.level(l).fanout)) {
                 ++spatial_here;
             }
         }
@@ -364,11 +345,9 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
 bool
 MapSpace::levelAllowsDim(int level, int dim) const
 {
-    const LevelConstraint &con =
-        level_cons_[static_cast<std::size_t>(level)];
-    return con.loop_order.empty() ||
-        std::find(con.loop_order.begin(), con.loop_order.end(), dim) !=
-            con.loop_order.end();
+    const auto &order = level_cons_[static_cast<std::size_t>(level)]
+                            .loop_order;
+    return order.empty() || contains(order, dim);
 }
 
 bool
@@ -378,17 +357,39 @@ MapSpace::orderConstrained(int level) const
                 .loop_order.empty();
 }
 
+template <typename Visit>
+void
+MapSpace::forTiledDims(int level, const std::vector<std::int64_t> &lf,
+                       Visit &&visit) const
+{
+    const auto &order = level_cons_[static_cast<std::size_t>(level)]
+                            .loop_order;
+    if (order.empty()) {
+        for (int d = 0; d < dimCount(); ++d) {
+            if (lf[static_cast<std::size_t>(d)] > 1) {
+                visit(d);
+            }
+        }
+        return;
+    }
+    // Every dimension tiled at a constrained level is in its order by
+    // construction.
+    for (int d : order) {
+        if (lf[static_cast<std::size_t>(d)] > 1) {
+            visit(d);
+        }
+    }
+}
+
 bool
 MapSpace::spatialCandidate(int level, int dim, std::int64_t factor) const
 {
     if (factor <= 1 || factor > arch_.level(level).fanout) {
         return false;
     }
-    const LevelConstraint &con =
-        level_cons_[static_cast<std::size_t>(level)];
-    return con.spatial_dims.empty() ||
-           std::find(con.spatial_dims.begin(), con.spatial_dims.end(),
-                     dim) != con.spatial_dims.end();
+    const auto &allowed = level_cons_[static_cast<std::size_t>(level)]
+                              .spatial_dims;
+    return allowed.empty() || contains(allowed, dim);
 }
 
 std::vector<int>
@@ -396,9 +397,6 @@ MapSpace::spatialCandidates(
     int level, const std::vector<std::int64_t> &factors) const
 {
     std::vector<int> candidates;
-    if (arch_.level(level).fanout <= 1) {
-        return candidates;
-    }
     for (int d = 0; d < dimCount(); ++d) {
         if (spatialCandidate(level, d, factors[static_cast<std::size_t>(d)])) {
             candidates.push_back(d);
@@ -407,12 +405,29 @@ MapSpace::spatialCandidates(
     return candidates;
 }
 
-std::vector<std::vector<std::int64_t>>
+bool
+MapSpace::alwaysKept(int level, int t) const
+{
+    // The outermost level is every tensor's backing store.
+    const auto &ch = keep_choices_[static_cast<std::size_t>(level)];
+    return level == 0 ||
+           (ch.size() == 1 && (ch.front().empty() ||
+                               ch.front()[static_cast<std::size_t>(t)]));
+}
+
+std::vector<std::size_t>
+MapSpace::tilingAt(std::int64_t index) const
+{
+    auto digits = math::mixedRadixDecode(index, split_count_);
+    return {digits.begin(), digits.end()};
+}
+
+MapSpace::Factors
 MapSpace::tilingFactors(const std::vector<std::size_t> &tiling) const
 {
     const int S = levelCount();
     const int D = dimCount();
-    std::vector<std::vector<std::int64_t>> factors(
+    Factors factors(
         static_cast<std::size_t>(S),
         std::vector<std::int64_t>(static_cast<std::size_t>(D), 1));
     for (int d = 0; d < D; ++d) {
@@ -448,18 +463,14 @@ MapSpace::canonicalAt(int level, std::uint64_t mask) const
 }
 
 void
-MapSpace::ensureCanonical(std::uint64_t mask)
+MapSpace::ensureCanonical(int level, const std::vector<std::int64_t> &lf)
 {
-    if (countBits(mask) > kMaxCanonicalDims ||
-        canon_.count(mask) != 0) {
+    std::uint64_t mask = tiledMask(lf);
+    if (!canonicalAt(level, mask) || canon_.count(mask) != 0) {
         return;
     }
     std::vector<int> perm;
-    for (int d = 0; d < dimCount(); ++d) {
-        if ((mask >> static_cast<unsigned>(d)) & 1u) {
-            perm.push_back(d);
-        }
-    }
+    forTiledDims(level, lf, [&perm](int d) { perm.push_back(d); });
     // Canonical = every adjacent pair of same-class dimensions is
     // ascending by dimension id. Each equivalence orbit (orders
     // reachable by commuting same-class neighbors) contains exactly
@@ -495,24 +506,19 @@ MapSpace::canonicalOrders(std::uint64_t mask) const
 }
 
 std::vector<std::uint64_t>
-MapSpace::relevantLevelMasks(
-    const std::vector<std::vector<std::int64_t>> &factors) const
+MapSpace::relevantLevelMasks(const Factors &factors) const
 {
     const int T = workload_.tensorCount();
     std::vector<std::uint64_t> rel(static_cast<std::size_t>(T), 0);
     for (int l = 0; l < levelCount(); ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
-        for (int d = 0; d < dimCount(); ++d) {
-            if (lf[static_cast<std::size_t>(d)] <= 1) {
-                continue;
-            }
+        forTiledDims(l, factors[static_cast<std::size_t>(l)], [&](int d) {
             for (int t = 0; t < T; ++t) {
                 if (workload_.dimRelevant(t, d)) {
                     rel[static_cast<std::size_t>(t)] |=
                         std::uint64_t{1} << static_cast<unsigned>(l);
                 }
             }
-        }
+        });
     }
     return rel;
 }
@@ -522,28 +528,26 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
 {
     const int S = levelCount();
     const int F = static_cast<int>(keep_free_levels_.size());
-    // Keeps forced regardless of the free bits: the backing store and
-    // every fixed level whose single mask keeps the tensor.
-    std::uint64_t fixed = 1;
-    for (int l = 1; l < S; ++l) {
-        const auto &ch = keep_choices_[static_cast<std::size_t>(l)];
-        if (ch.size() == 1 &&
-            (ch.front().empty() ||
-             ch.front()[static_cast<std::size_t>(t)])) {
+    // Keeps forced regardless of the free bits.
+    std::uint64_t fixed = 0;
+    for (int l = 0; l < S; ++l) {
+        if (alwaysKept(l, t)) {
             fixed |= std::uint64_t{1} << static_cast<unsigned>(l);
         }
     }
+    auto kept = [&](std::uint32_t bits, int i) {
+        return (bits >> static_cast<unsigned>(i)) & 1u;
+    };
+    auto level_bit = [&](int i) {
+        return std::uint64_t{1} << static_cast<unsigned>(
+                   keep_free_levels_[static_cast<std::size_t>(i)]);
+    };
     std::vector<std::uint32_t> combos;
     for (std::uint32_t bits = 0;
          bits < (1u << static_cast<unsigned>(F)); ++bits) {
         std::uint64_t col = fixed;
         for (int i = 0; i < F; ++i) {
-            if ((bits >> static_cast<unsigned>(i)) & 1u) {
-                col |= std::uint64_t{1}
-                    << static_cast<unsigned>(
-                           keep_free_levels_[static_cast<std::size_t>(
-                               i)]);
-            }
+            col |= kept(bits, i) ? level_bit(i) : 0;
         }
         // A free keep at level l is dominated when some inner keeping
         // level b exists and no loop at levels [l, b) touches the
@@ -551,26 +555,14 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
         // reads), so bypassing it saves accesses and capacity on every
         // metric. The innermost keep (no b) is never dominated.
         bool dominated = false;
-        if (options_.prune_dominated_keeps) {
-            for (int i = 0; i < F && !dominated; ++i) {
-                if (!((bits >> static_cast<unsigned>(i)) & 1u)) {
-                    continue;
-                }
-                int l =
-                    keep_free_levels_[static_cast<std::size_t>(i)];
-                int b = -1;
-                for (int lb = l + 1; lb < S; ++lb) {
-                    if ((col >> static_cast<unsigned>(lb)) & 1u) {
-                        b = lb;
-                        break;
-                    }
-                }
-                if (b < 0) {
-                    continue;
-                }
-                std::uint64_t between =
-                    (std::uint64_t{1} << static_cast<unsigned>(b)) -
-                    (std::uint64_t{1} << static_cast<unsigned>(l));
+        for (int i = 0; i < F && options_.prune_dominated_keeps &&
+                        !dominated;
+             ++i) {
+            // Keeping levels inner to l, then the bit of the nearest b.
+            std::uint64_t inner = col & ~((level_bit(i) << 1) - 1);
+            if (kept(bits, i) && inner != 0) {
+                std::uint64_t between = (inner & (~inner + 1)) -
+                                        level_bit(i);
                 dominated = (relevant_mask & between) == 0;
             }
         }
@@ -582,8 +574,7 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
 }
 
 bool
-MapSpace::capacityPruned(
-    const std::vector<std::vector<std::int64_t>> &factors) const
+MapSpace::capacityPruned(const Factors &factors) const
 {
     const int S = levelCount();
     const int D = dimCount();
@@ -605,17 +596,11 @@ MapSpace::capacityPruned(
         // admissible mask count, at their dense tile footprint (the
         // engine's worst-case words for an unformatted kept tensor).
         double occupancy = 0.0;
-        const auto &ch = keep_choices_[static_cast<std::size_t>(l)];
         for (int t = 0; t < T; ++t) {
-            bool always_kept = (l == 0) ||
-                (ch.size() == 1 &&
-                 (ch.front().empty() ||
-                  ch.front()[static_cast<std::size_t>(t)]));
-            if (!always_kept) {
-                continue;
+            if (alwaysKept(l, t)) {
+                occupancy += static_cast<double>(
+                    volume(workload_.tensorTileExtents(t, tiles)));
             }
-            occupancy += static_cast<double>(
-                volume(workload_.tensorTileExtents(t, tiles)));
         }
         if (occupancy > cap) {
             return true;
@@ -624,77 +609,162 @@ MapSpace::capacityPruned(
     return false;
 }
 
-MapSpace::BlockCounts
-MapSpace::blockCounts(
-    const std::vector<std::vector<std::int64_t>> &factors) const
+MapSpace::Block::Block(const MapSpace &space, const Factors &factors)
+    : space_(space), factors_(factors),
+      // The joint keep axis factorizes per tensor: every open level
+      // offers all masks, so a joint choice is exactly one free-level
+      // keep column per tensor.
+      per_tensor_keeps_(space.options_.prune_dominated_keeps &&
+                        !space.keep_free_levels_.empty())
 {
-    BlockCounts c;
+    if (per_tensor_keeps_) {
+        relevant_ = space_.relevantLevelMasks(factors_);
+    }
+}
+
+std::int64_t
+MapSpace::Block::orders(int level, std::uint64_t mask, bool canonical) const
+{
+    if (canonical && space_.canonicalAt(level, mask)) {
+        return static_cast<std::int64_t>(
+            space_.canonicalOrders(mask).size());
+    }
+    return space_.orderConstrained(level)
+               ? 1
+               : math::factorial(countBits(mask));
+}
+
+MapSpace::Block::Counts
+MapSpace::Block::counts() const
+{
     double ps_raw = 1.0;   // permutation x spatial, before symmetry
     double ps_sym = 1.0;   // permutation x spatial, canonical orders
     double keeps_raw = 1.0;
-    std::int64_t block = 1;
-    for (int l = 0; l < levelCount(); ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
-        std::uint64_t mask = tiledMask(lf);
-        std::int64_t raw_perms =
-            orderConstrained(l) ? 1 : math::factorial(countBits(mask));
-        std::int64_t perms = raw_perms;
-        if (canonicalAt(l, mask)) {
-            perms = static_cast<std::int64_t>(
-                canonicalOrders(mask).size());
-        }
+    double keeps_pruned = 1.0;
+    Counts c;
+    for (int l = 0; l < space_.levelCount(); ++l) {
+        const auto &lf = factors_[static_cast<std::size_t>(l)];
+        std::uint64_t mask = space_.tiledMask(lf);
+        std::int64_t raw_perms = orders(l, mask, false);
+        std::int64_t perms = orders(l, mask, true);
         std::int64_t spatial = std::max<std::int64_t>(
-            1,
-            static_cast<std::int64_t>(
-                spatialCandidates(l, lf).size()));
+            1, static_cast<std::int64_t>(
+                   space_.spatialCandidates(l, lf).size()));
         ps_raw *= static_cast<double>(raw_perms) *
                   static_cast<double>(spatial);
         ps_sym *= static_cast<double>(perms) *
                   static_cast<double>(spatial);
         keeps_raw *= static_cast<double>(
-            keep_choices_[static_cast<std::size_t>(l)].size());
-        block = math::mulSat(block, perms);
-        block = math::mulSat(block, spatial);
+            space_.keep_choices_[static_cast<std::size_t>(l)].size());
+        c.size = math::mulSat(c.size, perms);
+        c.size = math::mulSat(c.size, spatial);
     }
-    double keeps_pruned = keeps_raw;
     std::int64_t keep_block = 1;
-    if (options_.prune_dominated_keeps && !keep_free_levels_.empty()) {
-        // The joint keep axis factorizes per tensor: every open level
-        // offers all masks, so a joint choice is exactly one
-        // free-level keep column per tensor.
-        auto rel = relevantLevelMasks(factors);
-        keeps_pruned = 1.0;
-        for (int t = 0; t < workload_.tensorCount(); ++t) {
+    if (per_tensor_keeps_) {
+        for (int t = 0; t < space_.workload_.tensorCount(); ++t) {
             std::int64_t n = static_cast<std::int64_t>(
-                keepCombos(t, rel[static_cast<std::size_t>(t)])
+                space_.keepCombos(t, relevant_[static_cast<std::size_t>(t)])
                     .size());
             keeps_pruned *= static_cast<double>(n);
             keep_block = math::mulSat(keep_block, n);
         }
     } else {
-        for (int l = 0; l < levelCount(); ++l) {
+        keeps_pruned = keeps_raw;
+        for (const auto &choices : space_.keep_choices_) {
             keep_block = math::mulSat(
-                keep_block,
-                static_cast<std::int64_t>(
-                    keep_choices_[static_cast<std::size_t>(l)]
-                        .size()));
+                keep_block, static_cast<std::int64_t>(choices.size()));
         }
     }
     c.raw = ps_raw * keeps_raw;
     c.symmetry = ps_sym * keeps_raw;
     c.pruned = ps_sym * keeps_pruned;
-    c.block = math::mulSat(block, keep_block);
+    c.size = math::mulSat(c.size, keep_block);
     return c;
+}
+
+Mapping
+MapSpace::Block::build(std::int64_t offset) const
+{
+    auto digit = [&offset](std::size_t radix) {
+        auto n = static_cast<std::int64_t>(radix);
+        auto d = static_cast<std::size_t>(offset % n);
+        offset /= n;
+        return d;
+    };
+    const int S = space_.levelCount();
+    const int T = space_.workload_.tensorCount();
+    std::vector<LevelNest> nests(static_cast<std::size_t>(S));
+    for (int l = 0; l < S; ++l) {
+        const auto &lf = factors_[static_cast<std::size_t>(l)];
+        std::uint64_t mask = space_.tiledMask(lf);
+        auto choice =
+            digit(static_cast<std::size_t>(orders(l, mask, true)));
+        std::vector<int> order;
+        if (space_.canonicalAt(l, mask)) {
+            order = space_.canonicalOrders(mask)[choice];
+        } else {
+            // The choice-th permutation of the level's tiled order (the
+            // identity at a constrained level, its only order).
+            std::vector<int> tiled;
+            space_.forTiledDims(l, lf, [&tiled](int d) {
+                tiled.push_back(d);
+            });
+            for (int pos : math::nthPermutation(
+                     static_cast<int>(tiled.size()),
+                     static_cast<std::int64_t>(choice))) {
+                order.push_back(tiled[static_cast<std::size_t>(pos)]);
+            }
+        }
+        auto candidates = space_.spatialCandidates(l, lf);
+        int spatial_dim = candidates.empty()
+                              ? -1
+                              : candidates[digit(candidates.size())];
+        appendLoops(nests[static_cast<std::size_t>(l)], order, lf,
+                    spatial_dim);
+    }
+
+    if (per_tensor_keeps_) {
+        for (int l = 0; l < S; ++l) {
+            const auto &ch = space_.keep_choices_[static_cast<std::size_t>(l)];
+            if (ch.size() == 1) {
+                nests[static_cast<std::size_t>(l)].keep = ch.front();
+            }
+        }
+        std::vector<std::uint32_t> combo(static_cast<std::size_t>(T), 0);
+        for (int t = 0; t < T; ++t) {
+            auto combos =
+                space_.keepCombos(t, relevant_[static_cast<std::size_t>(t)]);
+            combo[static_cast<std::size_t>(t)] = combos[digit(combos.size())];
+        }
+        for (std::size_t i = 0; i < space_.keep_free_levels_.size(); ++i) {
+            auto l = static_cast<std::size_t>(space_.keep_free_levels_[i]);
+            std::size_t bits = 0;
+            for (int t = 0; t < T; ++t) {
+                bits |= ((combo[static_cast<std::size_t>(t)] >> i) & 1u)
+                        << t;
+            }
+            // An open level lists keep-all first, then mask `bits` at
+            // index bits + 1 (all-true is the keep-all entry).
+            const auto &choices = space_.keep_choices_[l];
+            nests[l].keep = choices[(bits + 1) % choices.size()];
+        }
+    } else {
+        for (int l = 0; l < S; ++l) {
+            const auto &choices =
+                space_.keep_choices_[static_cast<std::size_t>(l)];
+            nests[static_cast<std::size_t>(l)].keep =
+                choices[digit(choices.size())];
+        }
+    }
+    SL_ASSERT(offset == 0, "mapspace index decode left a residue");
+    return Mapping(std::move(nests));
 }
 
 std::int64_t
 MapSpace::tilingCount() const
 {
-    std::int64_t tilings = 1;
-    for (std::int64_t c : split_count_) {
-        tilings = math::mulSat(tilings, c);
-    }
-    return tilings;
+    return std::accumulate(split_count_.begin(), split_count_.end(),
+                           std::int64_t{1}, math::mulSat);
 }
 
 std::vector<MapSpace::Point>
@@ -706,11 +776,8 @@ MapSpace::coarsePoints(std::int64_t tiling_index, int max_keeps) const
               "tiling index ", tiling_index, " out of range");
     SL_ASSERT(max_keeps > 0, "max_keeps must be positive");
     const int S = levelCount();
-    std::vector<std::int64_t> radices(split_count_.begin(),
-                                      split_count_.end());
-    auto digits = math::mixedRadixDecode(tiling_index, radices);
     Point base;
-    base.tiling.assign(digits.begin(), digits.end());
+    base.tiling = tilingAt(tiling_index);
     base.order.resize(static_cast<std::size_t>(S));
     base.spatial.assign(static_cast<std::size_t>(S), -1);
     base.keep.assign(static_cast<std::size_t>(S), 0);
@@ -718,14 +785,11 @@ MapSpace::coarsePoints(std::int64_t tiling_index, int max_keeps) const
     // spatial candidate — the coarse representative of the fine axes.
     base = reconcile(std::move(base));
 
-    std::vector<std::int64_t> kradices(static_cast<std::size_t>(S));
+    std::vector<std::int64_t> kradices;
     std::int64_t total = 1;
-    for (int l = 0; l < S; ++l) {
-        kradices[static_cast<std::size_t>(l)] =
-            static_cast<std::int64_t>(
-                keep_choices_[static_cast<std::size_t>(l)].size());
-        total = math::mulSat(total,
-                             kradices[static_cast<std::size_t>(l)]);
+    for (const auto &choices : keep_choices_) {
+        kradices.push_back(static_cast<std::int64_t>(choices.size()));
+        total = math::mulSat(total, kradices.back());
     }
     std::int64_t k = std::min<std::int64_t>(max_keeps, total);
     std::int64_t stride = total / k;
@@ -776,70 +840,42 @@ MapSpace::sampleMapping(std::uint64_t seed) const
     }
 
     // 2. Per level: loop order (constrained sequence or a shuffle) and
-    //    spatial assignment.
+    //    spatial assignment. With fanout > 1, one candidate dimension
+    //    becomes spatial when possible; candidates follow the loop
+    //    order, as the pre-IR sampler did.
     std::vector<LevelNest> nests(static_cast<std::size_t>(S));
     for (int l = 0; l < S; ++l) {
-        const LevelConstraint &con =
-            level_cons_[static_cast<std::size_t>(l)];
         const auto &lf = factors[static_cast<std::size_t>(l)];
         std::vector<int> dims;
-        for (int d = 0; d < D; ++d) {
-            if (lf[static_cast<std::size_t>(d)] > 1) {
-                dims.push_back(d);
-            }
-        }
-        if (!con.loop_order.empty()) {
-            // Every tiled dimension here is in the constrained order
-            // by construction; restrict to, and order by, it.
-            std::vector<int> ordered;
-            for (int d : con.loop_order) {
-                if (lf[static_cast<std::size_t>(d)] > 1) {
-                    ordered.push_back(d);
-                }
-            }
-            dims = std::move(ordered);
-        } else {
+        forTiledDims(l, lf, [&dims](int d) { dims.push_back(d); });
+        if (!orderConstrained(l)) {
             std::shuffle(dims.begin(), dims.end(), rng);
         }
-
-        // Spatial choice: with fanout > 1, make one allowed tiled
-        // dimension spatial when possible (candidate order follows the
-        // loop order, as the pre-IR sampler did).
-        int spatial_dim = -1;
-        if (arch_.level(l).fanout > 1) {
-            std::vector<int> candidates;
-            for (int d : dims) {
-                bool allowed = con.spatial_dims.empty() ||
-                    std::find(con.spatial_dims.begin(),
-                              con.spatial_dims.end(), d) !=
-                        con.spatial_dims.end();
-                if (allowed && lf[static_cast<std::size_t>(d)] <=
-                        arch_.level(l).fanout) {
-                    candidates.push_back(d);
-                }
-            }
-            if (!candidates.empty()) {
-                std::uniform_int_distribution<std::size_t> pick(
-                    0, candidates.size() - 1);
-                spatial_dim = candidates[pick(rng)];
-            }
-        }
+        std::vector<int> candidates;
         for (int d : dims) {
-            nests[static_cast<std::size_t>(l)].loops.push_back(
-                {d, lf[static_cast<std::size_t>(d)],
-                 d == spatial_dim});
+            if (spatialCandidate(l, d, lf[static_cast<std::size_t>(d)])) {
+                candidates.push_back(d);
+            }
         }
+        int spatial_dim = -1;
+        if (!candidates.empty()) {
+            std::uniform_int_distribution<std::size_t> pick(
+                0, candidates.size() - 1);
+            spatial_dim = candidates[pick(rng)];
+        }
+        appendLoops(nests[static_cast<std::size_t>(l)], dims, lf,
+                    spatial_dim);
         // Keep draw: a single choice (constrained mask or closed keep
         // axis) assigns without consuming the RNG, so explore_bypass
         // off reproduces the historical stream exactly.
         const auto &choices = keep_choices_[static_cast<std::size_t>(l)];
+        std::size_t keep = 0;
         if (choices.size() > 1) {
             std::uniform_int_distribution<std::size_t> pick(
                 0, choices.size() - 1);
-            nests[static_cast<std::size_t>(l)].keep = choices[pick(rng)];
-        } else {
-            nests[static_cast<std::size_t>(l)].keep = choices.front();
+            keep = pick(rng);
         }
+        nests[static_cast<std::size_t>(l)].keep = choices[keep];
     }
     return Mapping(std::move(nests));
 }
@@ -851,139 +887,27 @@ MapSpace::mappingAt(std::int64_t index) const
     SL_ASSERT(index >= 0 && index < size_.enumerable,
               "mapspace index ", index, " out of range");
 
-    // Locate the tiling block, then peel per-level digits.
+    // Locate the tiling block, then decode the offset within it.
     auto it = std::upper_bound(tiling_prefix_.begin(),
                                tiling_prefix_.end(), index);
     std::int64_t t =
         static_cast<std::int64_t>(it - tiling_prefix_.begin()) - 1;
-    std::int64_t rest = index - tiling_prefix_[static_cast<std::size_t>(t)];
-
-    std::vector<std::int64_t> radices(split_count_.begin(),
-                                      split_count_.end());
-    auto digits = math::mixedRadixDecode(t, radices);
-    std::vector<std::size_t> tiling(digits.begin(), digits.end());
-    auto factors = tilingFactors(tiling);
-
-    const int S = levelCount();
-    const int T = workload_.tensorCount();
-    std::vector<LevelNest> nests(static_cast<std::size_t>(S));
-    for (int l = 0; l < S; ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
-        std::uint64_t mask = tiledMask(lf);
-        std::vector<int> order;
-        if (orderConstrained(l)) {
-            for (int d :
-                 level_cons_[static_cast<std::size_t>(l)].loop_order) {
-                if (lf[static_cast<std::size_t>(d)] > 1) {
-                    order.push_back(d);
-                }
-            }
-        } else if (canonicalAt(l, mask)) {
-            const auto &orders = canonicalOrders(mask);
-            std::int64_t n = static_cast<std::int64_t>(orders.size());
-            order = orders[static_cast<std::size_t>(rest % n)];
-            rest /= n;
-        } else {
-            std::vector<int> base;
-            for (int d = 0; d < dimCount(); ++d) {
-                if (lf[static_cast<std::size_t>(d)] > 1) {
-                    base.push_back(d);
-                }
-            }
-            std::int64_t perms =
-                math::factorial(static_cast<int>(base.size()));
-            std::int64_t digit = rest % perms;
-            rest /= perms;
-            for (int pos : math::nthPermutation(
-                     static_cast<int>(base.size()), digit)) {
-                order.push_back(base[static_cast<std::size_t>(pos)]);
-            }
-        }
-
-        auto candidates = spatialCandidates(l, lf);
-        int spatial_dim = -1;
-        if (!candidates.empty()) {
-            std::int64_t n =
-                static_cast<std::int64_t>(candidates.size());
-            spatial_dim = candidates[static_cast<std::size_t>(rest % n)];
-            rest /= n;
-        }
-
-        for (int d : order) {
-            nests[static_cast<std::size_t>(l)].loops.push_back(
-                {d, lf[static_cast<std::size_t>(d)],
-                 d == spatial_dim});
-        }
-    }
-
-    // Keep axis: with the dominance pass on, the joint choice is one
-    // per-tensor free-level combination digit each (matching
-    // blockCounts); otherwise one raw mask digit per level.
-    if (options_.prune_dominated_keeps && !keep_free_levels_.empty()) {
-        for (int l = 0; l < S; ++l) {
-            const auto &ch = keep_choices_[static_cast<std::size_t>(l)];
-            if (ch.size() == 1) {
-                nests[static_cast<std::size_t>(l)].keep = ch.front();
-            }
-        }
-        auto rel = relevantLevelMasks(factors);
-        const int F = static_cast<int>(keep_free_levels_.size());
-        std::vector<std::uint32_t> combo(static_cast<std::size_t>(T),
-                                         0);
-        for (int tt = 0; tt < T; ++tt) {
-            auto combos =
-                keepCombos(tt, rel[static_cast<std::size_t>(tt)]);
-            std::int64_t n = static_cast<std::int64_t>(combos.size());
-            combo[static_cast<std::size_t>(tt)] =
-                combos[static_cast<std::size_t>(rest % n)];
-            rest /= n;
-        }
-        for (int i = 0; i < F; ++i) {
-            int l = keep_free_levels_[static_cast<std::size_t>(i)];
-            std::vector<bool> keep(static_cast<std::size_t>(T));
-            bool all = true;
-            for (int tt = 0; tt < T; ++tt) {
-                bool bit = (combo[static_cast<std::size_t>(tt)] >>
-                            static_cast<unsigned>(i)) &
-                           1u;
-                keep[static_cast<std::size_t>(tt)] = bit;
-                all = all && bit;
-            }
-            // All-true is canonically the empty (keep-all) mask.
-            nests[static_cast<std::size_t>(l)].keep =
-                all ? std::vector<bool>{} : std::move(keep);
-        }
-    } else {
-        for (int l = 0; l < S; ++l) {
-            const auto &keeps =
-                keep_choices_[static_cast<std::size_t>(l)];
-            std::int64_t kn = static_cast<std::int64_t>(keeps.size());
-            nests[static_cast<std::size_t>(l)].keep =
-                keeps[static_cast<std::size_t>(rest % kn)];
-            rest /= kn;
-        }
-    }
-    SL_ASSERT(rest == 0, "mapspace index decode left a residue");
-    return Mapping(std::move(nests));
+    Factors factors = tilingFactors(tilingAt(t));
+    return Block(*this, factors)
+        .build(index - tiling_prefix_[static_cast<std::size_t>(t)]);
 }
 
 Mapping
 MapSpace::materialize(const Point &point) const
 {
-    auto factors = tilingFactors(point.tiling);
+    Factors factors = tilingFactors(point.tiling);
     const int S = levelCount();
     std::vector<LevelNest> nests(static_cast<std::size_t>(S));
     for (int l = 0; l < S; ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
-        const auto &order = point.order[static_cast<std::size_t>(l)];
-        int spatial_dim = point.spatial[static_cast<std::size_t>(l)];
-        for (int d : order) {
-            SL_ASSERT(lf[static_cast<std::size_t>(d)] > 1,
-                      "point order lists an untiled dimension");
-            nests[static_cast<std::size_t>(l)].loops.push_back(
-                {d, lf[static_cast<std::size_t>(d)],
-                 d == spatial_dim});
-        }
+        appendLoops(nests[static_cast<std::size_t>(l)],
+                    point.order[static_cast<std::size_t>(l)],
+                    factors[static_cast<std::size_t>(l)],
+                    point.spatial[static_cast<std::size_t>(l)]);
         nests[static_cast<std::size_t>(l)].keep =
             keep_choices_[static_cast<std::size_t>(l)]
                          [point.keep[static_cast<std::size_t>(l)]];
@@ -996,7 +920,7 @@ MapSpace::encode(const Mapping &mapping) const
 {
     const int S = levelCount();
     const int D = dimCount();
-    if (mapping.levelCount() != S) {
+    if (mapping.levelCount() != S || !pointEncodable()) {
         return std::nullopt;
     }
     Point point;
@@ -1005,19 +929,19 @@ MapSpace::encode(const Mapping &mapping) const
     point.spatial.assign(static_cast<std::size_t>(S), -1);
     point.keep.resize(static_cast<std::size_t>(S));
 
-    std::vector<std::vector<std::int64_t>> factors(
-        static_cast<std::size_t>(S),
-        std::vector<std::int64_t>(static_cast<std::size_t>(D), 1));
+    // Per dimension: the split (per-level factors) the loops spell.
+    Factors split(static_cast<std::size_t>(D),
+                  std::vector<std::int64_t>(static_cast<std::size_t>(S), 1));
     for (int l = 0; l < S; ++l) {
         const LevelNest &nest = mapping.level(l);
         for (const Loop &loop : nest.loops) {
             if (loop.dim < 0 || loop.dim >= D ||
-                factors[static_cast<std::size_t>(l)]
-                       [static_cast<std::size_t>(loop.dim)] != 1) {
+                split[static_cast<std::size_t>(loop.dim)]
+                     [static_cast<std::size_t>(l)] != 1) {
                 return std::nullopt;  // unknown or repeated dimension
             }
-            factors[static_cast<std::size_t>(l)]
-                   [static_cast<std::size_t>(loop.dim)] = loop.bound;
+            split[static_cast<std::size_t>(loop.dim)]
+                 [static_cast<std::size_t>(l)] = loop.bound;
             if (loop.bound > 1) {
                 point.order[static_cast<std::size_t>(l)].push_back(
                     loop.dim);
@@ -1039,18 +963,10 @@ MapSpace::encode(const Mapping &mapping) const
     }
     for (int d = 0; d < D; ++d) {
         const auto &dim_splits = splits_[static_cast<std::size_t>(d)];
-        if (dim_splits.empty()) {
-            return std::nullopt;  // tiling axis not materialized
-        }
-        std::vector<std::int64_t> split(static_cast<std::size_t>(S));
-        for (int l = 0; l < S; ++l) {
-            split[static_cast<std::size_t>(l)] =
-                factors[static_cast<std::size_t>(l)]
-                       [static_cast<std::size_t>(d)];
-        }
-        auto sit = std::lower_bound(dim_splits.begin(),
-                                    dim_splits.end(), split);
-        if (sit == dim_splits.end() || *sit != split) {
+        const auto &want = split[static_cast<std::size_t>(d)];
+        auto sit =
+            std::lower_bound(dim_splits.begin(), dim_splits.end(), want);
+        if (sit == dim_splits.end() || *sit != want) {
             return std::nullopt;  // outside the pruned tiling axis
         }
         point.tiling[static_cast<std::size_t>(d)] =
@@ -1065,37 +981,26 @@ MapSpace::encode(const Mapping &mapping) const
 MapSpace::Point
 MapSpace::reconcile(Point point) const
 {
-    const int S = levelCount();
-    auto nf = tilingFactors(point.tiling);
-    for (int l = 0; l < S; ++l) {
-        const auto &lf = nf[static_cast<std::size_t>(l)];
-        std::vector<int> order;
-        if (orderConstrained(l)) {
-            for (int d : level_cons_[static_cast<std::size_t>(l)]
-                             .loop_order) {
-                if (lf[static_cast<std::size_t>(d)] > 1) {
-                    order.push_back(d);
-                }
+    Factors factors = tilingFactors(point.tiling);
+    for (int l = 0; l < levelCount(); ++l) {
+        const auto &lf = factors[static_cast<std::size_t>(l)];
+        auto &order = point.order[static_cast<std::size_t>(l)];
+        // Drop untiled dimensions (every one at a constrained level,
+        // whose order is rebuilt), then append the missing ones.
+        auto stale = [&](int d) {
+            return orderConstrained(l) ||
+                   lf[static_cast<std::size_t>(d)] <= 1;
+        };
+        order.erase(std::remove_if(order.begin(), order.end(), stale),
+                    order.end());
+        forTiledDims(l, lf, [&order](int d) {
+            if (!contains(order, d)) {
+                order.push_back(d);
             }
-        } else {
-            for (int d : point.order[static_cast<std::size_t>(l)]) {
-                if (lf[static_cast<std::size_t>(d)] > 1) {
-                    order.push_back(d);
-                }
-            }
-            for (int d = 0; d < dimCount(); ++d) {
-                if (lf[static_cast<std::size_t>(d)] > 1 &&
-                    std::find(order.begin(), order.end(), d) ==
-                        order.end()) {
-                    order.push_back(d);
-                }
-            }
-        }
-        point.order[static_cast<std::size_t>(l)] = std::move(order);
+        });
         auto candidates = spatialCandidates(l, lf);
         int &spatial = point.spatial[static_cast<std::size_t>(l)];
-        if (std::find(candidates.begin(), candidates.end(), spatial) ==
-            candidates.end()) {
+        if (!contains(candidates, spatial)) {
             spatial = candidates.empty() ? -1 : candidates.front();
         }
     }
@@ -1177,14 +1082,6 @@ MapSpace::Neighborhood::orderSwaps(int level) const
     return space_.orderConstrained(level) || n < 2 ? 0 : n - 1;
 }
 
-std::size_t
-MapSpace::Neighborhood::keepAlternatives(int level) const
-{
-    const auto &keeps =
-        space_.keep_choices_[static_cast<std::size_t>(level)];
-    return keeps.size() - 1;
-}
-
 MapSpace::Point
 MapSpace::Neighborhood::build(std::size_t i) const
 {
@@ -1257,12 +1154,8 @@ MapSpace::neighbors(const Point &point) const
 bool
 MapSpace::pointEncodable() const
 {
-    for (const auto &dim_splits : splits_) {
-        if (dim_splits.empty()) {
-            return false;
-        }
-    }
-    return !empty_;
+    return !empty_ && std::none_of(splits_.begin(), splits_.end(),
+                                   [](const auto &s) { return s.empty(); });
 }
 
 bool
@@ -1275,40 +1168,26 @@ MapSpace::satisfies(const Mapping &mapping) const
         const LevelConstraint &con =
             level_cons_[static_cast<std::size_t>(l)];
         const LevelNest &nest = mapping.level(l);
-        if (!con.loop_order.empty()) {
-            // Loops must visit a subsequence of the constrained order.
-            std::size_t pos = 0;
-            for (const Loop &loop : nest.loops) {
-                while (pos < con.loop_order.size() &&
-                       con.loop_order[pos] != loop.dim) {
-                    ++pos;
-                }
-                if (pos == con.loop_order.size()) {
+        // Loops must visit a subsequence of the constrained order, and
+        // only allowed dimensions may be spatial.
+        auto pos = con.loop_order.begin();
+        for (const Loop &loop : nest.loops) {
+            if (!con.loop_order.empty()) {
+                pos = std::find(pos, con.loop_order.end(), loop.dim);
+                if (pos == con.loop_order.end()) {
                     return false;
                 }
                 ++pos;
             }
-        }
-        if (!con.spatial_dims.empty()) {
-            for (const Loop &loop : nest.loops) {
-                if (loop.spatial &&
-                    std::find(con.spatial_dims.begin(),
-                              con.spatial_dims.end(), loop.dim) ==
-                        con.spatial_dims.end()) {
-                    return false;
-                }
-            }
-        }
-        if (!con.keep.empty()) {
-            std::vector<bool> expected(
-                static_cast<std::size_t>(workload_.tensorCount()),
-                false);
-            for (int t : con.keep) {
-                expected[static_cast<std::size_t>(t)] = true;
-            }
-            if (nest.keep != expected) {
+            if (loop.spatial && !con.spatial_dims.empty() &&
+                !contains(con.spatial_dims, loop.dim)) {
                 return false;
             }
+        }
+        // A keep constraint is the level's only keep choice.
+        if (!con.keep.empty() &&
+            nest.keep != keep_choices_[static_cast<std::size_t>(l)].front()) {
+            return false;
         }
     }
     return true;

@@ -21,26 +21,11 @@
  * rejection sampling into the search loop and burned most of a
  * constrained search's budget on invalid draws.
  *
- * Construction is a pipeline of passes over the raw axes:
- *
- *  1. **Constraint pruning** (always on) — constrained axes are pruned
- *     before anything samples or enumerates them.
- *  2. **Symmetry reduction** (`prune_symmetry`) — per-level loop
- *     orders are deduplicated to canonical form: adjacent loops whose
- *     dimensions have identical tensor-relevance signatures commute
- *     without changing any traffic count, so only orders whose maximal
- *     adjacent same-class runs are ascending are enumerated.
- *  3. **Keep-dominance pruning** (`prune_dominated_keeps`) — keeping a
- *     tensor at a level is provably useless when no loop between it
- *     and the next-inner keeping level is relevant to the tensor (the
- *     kept tile is delivered once and never reused); such keep
- *     configurations are dominated on every metric and dropped.
- *  4. **Capacity-dominance pruning** (`prune_capacity_tilings`) —
- *     tilings whose minimum possible occupancy (tensors kept under
- *     every admissible mask) overflows some level's capacity can never
- *     evaluate valid and are dropped whole. Only provable against
- *     dense (uncompressed) footprints, so the `Mapper` disables it
- *     when format SAFs are in play.
+ * Construction then runs three lossless pruning passes, each switched
+ * by a `MapSpaceOptions` field that documents it: canonical loop
+ * orders (symmetry reduction), keep-dominance, and capacity-dominated
+ * tilings. The `Mapper` disables the capacity pass when format SAFs
+ * could compress tiles.
  *
  * The passes reshape **enumeration only** (`mappingAt`, `size()`, the
  * per-pass `pruneStats()` report); `sampleMapping`, `Point`
@@ -48,19 +33,19 @@
  * stochastic strategies keep their historical RNG behavior.
  *
  * The IR reports its size (exactly when the space is small enough to
- * enumerate, as a product-form upper bound otherwise) and serves three
- * access patterns, one per search strategy:
+ * enumerate, as a product-form upper bound otherwise) and serves it
+ * three ways: `sampleMapping(seed)`, the seeded candidate derivation
+ * (RNG-identical to the pre-IR `Mapper` on unconstrained spaces);
+ * `mappingAt(index)`, duplicate-free indexed enumeration when
+ * `size().enumerable >= 0`; and `Point` coordinates (`encode`,
+ * `materialize`, `neighbors`, `reconcile`, `crossover`,
+ * `coarsePoints`, ...) for the neighborhood strategies, when
+ * `pointEncodable()`. Each axis rule has one body that all three call.
  *
- *  - `sampleMapping(seed)` — the seeded random candidate derivation.
- *    For unconstrained spaces it consumes its RNG exactly like the
- *    pre-IR `Mapper`, so `RandomSearch` reproduces historical results
- *    bit-identically; under constraints it redistributes factors over
- *    the allowed levels instead of rejecting.
- *  - `mappingAt(index)` — exact indexed enumeration (duplicate-free)
- *    for `ExhaustiveSearch` when `size().enumerable >= 0`.
- *  - `materialize`/`encode`/`neighbors` over `MapSpace::Point` — a
- *    per-axis coordinate form for `HybridSearch`'s greedy
- *    neighborhood refinement.
+ * The limits are constants: a dimension with more than 2^16 splits
+ * keeps its tiling axis implicit (sampling only), more than 2^16
+ * tiling combinations get the size estimate, and more than 2^22
+ * points are not indexed.
  */
 
 #ifndef SPARSELOOP_MAPPER_MAPSPACE_HH
@@ -112,16 +97,9 @@ void validateConstraints(const Workload &workload,
                          const Architecture &arch,
                          const MapspaceConstraints &constraints);
 
-/** Materialization and enumeration limits. */
+/** The keep axis and the pruning passes of the construction. */
 struct MapSpaceOptions
 {
-    /** Max splits materialized per dimension; beyond this the tiling
-     *  axis stays implicit (sampling works, indexing/encoding don't). */
-    std::int64_t max_splits_per_dim = 1 << 16;
-    /** Max tiling combinations for exact size accounting. */
-    std::int64_t max_tilings = 1 << 16;
-    /** Max total points for exact indexed enumeration. */
-    std::int64_t max_enumerable_points = 1 << 22;
     /**
      * Enumerate keep/bypass masks as a search axis at levels below the
      * outermost (which always keeps everything so each tensor has a
@@ -233,8 +211,13 @@ class MapSpace
         }
     };
 
+    /**
+     * Fatal (SL_FATAL) on invalid constraints, on a workload with more
+     * than 64 dimensions, or on an architecture with more than 32
+     * storage levels (the per-dimension and per-level bitmasks).
+     */
     MapSpace(const Workload &workload, const Architecture &arch,
-             MapspaceConstraints constraints = {},
+             const MapspaceConstraints &constraints = {},
              MapSpaceOptions options = {});
 
     /** Workload dimension count (one tiling axis each). */
@@ -280,9 +263,6 @@ class MapSpace
         return allowed_[static_cast<std::size_t>(dim)];
     }
 
-    /** Whether @p level admits loops over @p dim. */
-    bool levelAllowsDim(int level, int dim) const;
-
     /** Number of per-level factorizations of @p dim 's bound. */
     std::int64_t splitCount(int dim) const
     {
@@ -293,7 +273,7 @@ class MapSpace
      * Materialized splits of @p dim: each entry is a per-level factor
      * vector (product = dimension bound, 1 at disallowed levels),
      * sorted lexicographically. Empty when `splitCount` exceeds
-     * `MapSpaceOptions::max_splits_per_dim`.
+     * 2^16 (the tiling axis stays implicit).
      */
     const std::vector<std::vector<std::int64_t>> &splits(int dim) const
     {
@@ -394,24 +374,19 @@ class MapSpace
     /**
      * Whether every tiling axis is materialized, i.e. `encode` can
      * succeed and neighborhood refinement is available. False when
-     * some dimension's split count exceeds
-     * `MapSpaceOptions::max_splits_per_dim`.
+     * some dimension has more than 2^16 splits.
      */
     bool pointEncodable() const;
 
-    /** The constraints this space was pruned with (as passed in). */
-    const MapspaceConstraints &constraints() const
-    {
-        return constraints_;
-    }
     /** The workload whose mappings this space contains. */
     const Workload &workload() const { return workload_; }
     /** The architecture the mappings target. */
     const Architecture &arch() const { return arch_; }
-    /** The materialization/enumeration limits in effect. */
-    const MapSpaceOptions &options() const { return options_; }
 
   private:
+    /** Per level, per dimension: the loop bound of one tiling. */
+    using Factors = std::vector<std::vector<std::int64_t>>;
+
     /**
      * The single-axis moves of one point, counted per family without
      * building them, and numbered in the move order `neighbors`
@@ -437,7 +412,11 @@ class MapSpace
         /** Adjacent transpositions at @p level (0 when constrained). */
         std::size_t orderSwaps(int level) const;
         /** Alternative keep masks at @p level. */
-        std::size_t keepAlternatives(int level) const;
+        std::size_t keepAlternatives(int level) const
+        {
+            return space_.keep_choices_[static_cast<std::size_t>(level)]
+                       .size() - 1;
+        }
 
         const MapSpace &space_;
         const Point &point_;
@@ -447,6 +426,60 @@ class MapSpace
         std::vector<std::pair<int, int>> spatial_;
         std::size_t keep_ = 0;
     };
+
+    /**
+     * The enumerated points of one tiling, in one digit layout (fastest
+     * first): per level, outermost first, a loop-order digit and a
+     * spatial digit; then the keep digits (one free-level combination
+     * per tensor under keep-dominance pruning, else one mask per
+     * level). `counts` multiplies the radices that `build` peels.
+     * Views @p factors, which must outlive it.
+     */
+    class Block
+    {
+      public:
+        Block(const MapSpace &space, const Factors &factors);
+
+        /** Per-pass point counts of the block. */
+        struct Counts
+        {
+            double raw = 0.0;      ///< before pipeline passes
+            double symmetry = 0.0; ///< after canonical-order reduction
+            double pruned = 0.0;   ///< after keep-dominance pruning
+            std::int64_t size = 1; ///< enumerated size (saturating)
+        };
+        Counts counts() const;
+
+        /** The @p offset -th point; requires `offset < counts().size`. */
+        Mapping build(std::int64_t offset) const;
+
+      private:
+        /** Loop orders at @p level over the tiled set @p mask: the
+         *  canonical ones when @p canonical and the symmetry pass
+         *  applies, else all (one at a constrained level). */
+        std::int64_t orders(int level, std::uint64_t mask,
+                            bool canonical) const;
+
+        const MapSpace &space_;
+        const Factors &factors_;
+        /** Keep digits per tensor (dominance pass on, some level open)
+         *  rather than per level. */
+        bool per_tensor_keeps_;
+        /** Per tensor: `relevantLevelMasks`, for per-tensor keeps. */
+        std::vector<std::uint64_t> relevant_;
+    };
+
+    /** Whether @p level admits loops over @p dim. */
+    bool levelAllowsDim(int level, int dim) const;
+
+    /** Whether constraints fix the loop order at @p level. */
+    bool orderConstrained(int level) const;
+
+    /** Visit the dimensions tiled (factor > 1) in @p lf at @p level:
+     *  in the constrained order, or ascending when the order is free. */
+    template <typename Visit>
+    void forTiledDims(int level, const std::vector<std::int64_t> &lf,
+                      Visit &&visit) const;
 
     /** Whether @p dim with @p factor at @p level may be the spatial
      *  loop there. */
@@ -458,26 +491,27 @@ class MapSpace
     spatialCandidates(int level,
                       const std::vector<std::int64_t> &factors) const;
 
-    /** Whether constraints fix the loop order at @p level. */
-    bool orderConstrained(int level) const;
+    /** Whether @p t is kept at @p level under every admissible mask. */
+    bool alwaysKept(int level, int t) const;
+
+    /** Per-dimension split indices of tiling combination @p index
+     *  (dimension 0 fastest). */
+    std::vector<std::size_t> tilingAt(std::int64_t index) const;
 
     /** Per-level factors of one tiling coordinate vector. */
-    std::vector<std::vector<std::int64_t>>
-    tilingFactors(const std::vector<std::size_t> &tiling) const;
+    Factors tilingFactors(const std::vector<std::size_t> &tiling) const;
 
     /** Bitmask of dimensions tiled (factor > 1) at one level. */
     std::uint64_t tiledMask(
         const std::vector<std::int64_t> &level_factors) const;
 
-    /** Canonical loop orders of the dimension set @p mask (built
-     *  during construction; every mask reachable by enumeration is
-     *  prebuilt, so lookups are const and thread-safe). */
+    /** Canonical loop orders of the dimension set @p mask (prebuilt
+     *  by `ensureCanonical`, so lookups are const and thread-safe). */
     const std::vector<std::vector<int>> &
     canonicalOrders(std::uint64_t mask) const;
 
-    /** Build and memoize the canonical orders of @p mask
-     *  (construction-time only). */
-    void ensureCanonical(std::uint64_t mask);
+    /** Memoize the canonical orders of @p level 's tiled set. */
+    void ensureCanonical(int level, const std::vector<std::int64_t> &lf);
 
     /** Whether enumeration at @p level uses the canonical-order list
      *  for the tiled set @p mask (symmetry pass on, order free, and
@@ -486,36 +520,21 @@ class MapSpace
 
     /** Per-tensor bitmask of levels carrying a factor-> 1 loop over a
      *  dimension relevant to the tensor, for one tiling. */
-    std::vector<std::uint64_t> relevantLevelMasks(
-        const std::vector<std::vector<std::int64_t>> &factors) const;
+    std::vector<std::uint64_t>
+    relevantLevelMasks(const Factors &factors) const;
 
-    /**
-     * Admissible free-level keep combinations for tensor @p t
-     * (bit i = tensor kept at `keep_free_levels_[i]`), dominated
-     * combinations removed when `prune_dominated_keeps` is on.
-     * @p relevant_mask is the tensor's entry of relevantLevelMasks.
-     */
+    /** Admissible free-level keep combinations of tensor @p t (bit
+     *  i = kept at `keep_free_levels_[i]`), minus dominated ones when
+     *  `prune_dominated_keeps`; @p relevant_mask from
+     *  relevantLevelMasks. */
     std::vector<std::uint32_t>
     keepCombos(int t, std::uint64_t relevant_mask) const;
 
     /** Whether every point of this tiling overflows some capacity. */
-    bool capacityPruned(
-        const std::vector<std::vector<std::int64_t>> &factors) const;
-
-    /** Per-pass point counts of one tiling combination. */
-    struct BlockCounts
-    {
-        double raw = 0.0;       ///< before pipeline passes
-        double symmetry = 0.0;  ///< after canonical-order reduction
-        double pruned = 0.0;    ///< after keep-dominance pruning
-        std::int64_t block = 0; ///< enumerated size (saturating)
-    };
-    BlockCounts blockCounts(
-        const std::vector<std::vector<std::int64_t>> &factors) const;
+    bool capacityPruned(const Factors &factors) const;
 
     const Workload &workload_;
     const Architecture &arch_;
-    MapspaceConstraints constraints_;
     MapSpaceOptions options_;
 
     /** Normalized per-level constraints (always levelCount entries). */

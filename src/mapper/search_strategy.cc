@@ -607,8 +607,8 @@ makeSearchStrategy(SearchStrategyKind kind, const MapSpace &space,
         if (space.size().enumerable < 0) {
             SL_FATAL("exhaustive search requested but the mapspace is ",
                      "not enumerable (~", space.size().points,
-                     " points exceed the materialization limits); ",
-                     "use Random/Hybrid or raise MapSpaceOptions");
+                     " points exceed the enumeration limits); ",
+                     "use a sampling strategy such as Random or Hybrid");
         }
         return std::make_unique<ExhaustiveSearch>(space);
       case SearchStrategyKind::Hybrid: {

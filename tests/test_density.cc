@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit and property tests for the statistical density models, including
- * cross-validation of the statistical laws against actual data.
+ * cross-validation of the statistical laws against actual data and one
+ * property suite (distribution vs scalar queries, monotonicity in the
+ * tile size) run over every model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include "common/logging.hh"
 #include "density/actual_data.hh"
@@ -223,6 +227,78 @@ TEST_P(FiberShapeSweep, DensityConcentratesWithShape)
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FiberShapeSweep,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64));
+
+/** One density model under the shared property suite. */
+struct ModelCase
+{
+    std::string name;
+    DensityModelPtr (*make)();
+    /** Tensor size N (whole-tensor occupancy / N = tensor density). */
+    std::int64_t tensor_elems;
+    /** Whether `distribution(n).mean()` is the exact occupancy law. */
+    bool exact_mean;
+};
+
+class DensityModelProperties : public ::testing::TestWithParam<ModelCase>
+{};
+
+TEST_P(DensityModelProperties, DistributionAgreesWithScalarQueries)
+{
+    const ModelCase &c = GetParam();
+    DensityModelPtr m = c.make();
+    double prev_occupancy = 0.0;
+    double prev_empty = 1.0;
+    for (std::int64_t n :
+         {1, 2, 3, 4, 8, 16, 64, 100, 256, 1024, 4096}) {
+        SCOPED_TRACE("tile " + std::to_string(n));
+        OccupancyDistribution dist = m->distribution(n);
+        EXPECT_NEAR(dist.totalMass(), 1.0, 1e-9);
+        EXPECT_NEAR(dist.probEmpty(), m->probEmpty(n), 1e-9);
+        ASSERT_FALSE(dist.pmf.empty());
+        EXPECT_LE(dist.pmf.rbegin()->first, m->maxOccupancy(n));
+        EXPECT_LE(m->maxOccupancy(n), n);
+        if (c.exact_mean) {
+            EXPECT_NEAR(dist.mean(), m->expectedOccupancy(n),
+                        1e-9 * std::max(1.0, m->expectedOccupancy(n)));
+        }
+        // Larger tiles hold no fewer nonzeros and are no likelier empty.
+        EXPECT_GE(m->expectedOccupancy(n), prev_occupancy - 1e-12);
+        EXPECT_LE(m->probEmpty(n), prev_empty + 1e-12);
+        prev_occupancy = m->expectedOccupancy(n);
+        prev_empty = m->probEmpty(n);
+    }
+    const auto N = c.tensor_elems;
+    EXPECT_NEAR(m->expectedOccupancy(N) / static_cast<double>(N),
+                m->tensorDensity(), 1e-9);
+}
+
+// Banded's mean is left unchecked: its distribution is the two-point
+// surrogate (empty, or the conditional mean rounded to a whole count),
+// whose mean differs from `expectedOccupancy` (0.223 vs 0.170 at n = 2).
+INSTANTIATE_TEST_SUITE_P(
+    Models, DensityModelProperties,
+    ::testing::Values(
+        ModelCase{"uniform_0_3",
+                  [] { return makeUniformDensity(4096, 0.3); }, 4096,
+                  true},
+        ModelCase{"uniform_0_02",
+                  [] { return makeUniformDensity(4096, 0.02); }, 4096,
+                  true},
+        ModelCase{"structured_2_4",
+                  [] { return makeStructuredDensity(2, 4); }, 4096, true},
+        ModelCase{"banded_64x64_hb3",
+                  [] { return makeBandedDensity(64, 64, 3, 0.8); }, 4096,
+                  false},
+        ModelCase{"actual_64x64_0_3",
+                  [] {
+                      return makeActualDataDensity(
+                          std::make_shared<SparseTensor>(
+                              generateUniform({64, 64}, 0.3, 91)));
+                  },
+                  4096, true}),
+    [](const ::testing::TestParamInfo<ModelCase> &info) {
+        return info.param.name;
+    });
 
 } // namespace
 } // namespace sparseloop

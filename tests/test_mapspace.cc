@@ -595,6 +595,71 @@ TEST(MapSpace, OutputsArePinned)
     }
 }
 
+/** @p n dimensions of bound 1 (dimension 0: bound 2), each a rank
+ *  of one input; the output covers dimension 0. */
+Workload
+wideWorkload(int n)
+{
+    std::vector<WorkloadDim> dims;
+    DataSpace in;
+    in.name = "A";
+    for (int d = 0; d < n; ++d) {
+        dims.push_back({"D" + std::to_string(d), d == 0 ? 2 : 1});
+        in.projection.push_back({{d, 1}});
+    }
+    DataSpace out;
+    out.name = "Z";
+    out.projection = {{{0, 1}}};
+    out.is_output = true;
+    return Workload("wide", std::move(dims), {in, out});
+}
+
+/** DRAM over @p n - 1 buffers. */
+Architecture
+tallArch(int n)
+{
+    std::vector<StorageLevelSpec> levels(static_cast<std::size_t>(n));
+    for (int l = 0; l < n; ++l) {
+        levels[static_cast<std::size_t>(l)].name = "L" + std::to_string(l);
+    }
+    levels.front().storage_class = StorageClass::DRAM;
+    return Architecture("tall", std::move(levels), ComputeSpec{});
+}
+
+/** The FatalError message of constructing the space, or "" if none. */
+std::string
+constructionError(const Workload &w, const Architecture &arch,
+                  MapSpaceOptions opts = {})
+{
+    try {
+        MapSpace space(w, arch, {}, opts);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(MapSpace, RejectsTooManyDimensionsOrLevels)
+{
+    // Dimension sets are 64-bit masks and free-level keep combinations
+    // 32-bit ones: wider or deeper inputs are rejected up front, with
+    // the count in the message, instead of shifting past the mask.
+    Architecture arch = searchArch();
+    EXPECT_EQ(constructionError(wideWorkload(64), arch), "");
+    std::string wide = constructionError(wideWorkload(65), arch);
+    EXPECT_NE(wide.find("64 workload dimensions"), std::string::npos)
+        << wide;
+    EXPECT_NE(wide.find("has 65"), std::string::npos) << wide;
+
+    Workload unit = makeMatmul(1, 1, 1);
+    MapSpaceOptions closed;  // an open keep axis on 31 levels is 2^31
+    closed.explore_bypass = false;
+    EXPECT_EQ(constructionError(unit, tallArch(32), closed), "");
+    std::string tall = constructionError(unit, tallArch(33));
+    EXPECT_NE(tall.find("32 storage levels"), std::string::npos) << tall;
+    EXPECT_NE(tall.find("has 33"), std::string::npos) << tall;
+}
+
 TEST(MapSpaceConstraints, ValidationRejectsBrokenConstraints)
 {
     Workload w = makeMatmul(8, 8, 8);

@@ -42,6 +42,25 @@ searchArch()
     return Architecture("search", {dram, buf}, ComputeSpec{});
 }
 
+/** DRAM over a 16K-word L2 over a 4K-word L1. */
+Architecture
+deepArch()
+{
+    StorageLevelSpec dram;
+    dram.name = "DRAM";
+    dram.storage_class = StorageClass::DRAM;
+    dram.bandwidth_words_per_cycle = 16.0;
+    StorageLevelSpec l2;
+    l2.name = "L2";
+    l2.capacity_words = 16384;
+    l2.bandwidth_words_per_cycle = 8.0;
+    StorageLevelSpec l1;
+    l1.name = "L1";
+    l1.capacity_words = 4096;
+    l1.bandwidth_words_per_cycle = 8.0;
+    return Architecture("deep", {dram, l2, l1}, ComputeSpec{});
+}
+
 /**
  * The pre-IR candidate derivation, verbatim: divisor peeling from the
  * innermost level up with the residual at level 0, a Fisher-Yates
@@ -529,16 +548,19 @@ TEST(SearchStrategies, AnnealingAndGeneticResultsArePinned)
 
 TEST(SearchStrategies, NonEncodableSpaceFallsBackToRandomSearch)
 {
-    // With two splits materialized per dimension, 64 = 2^6 has too
-    // many tilings to encode as points: every neighborhood strategy
-    // must then return exactly what RandomSearch returns.
-    Workload w = makeMatmul(64, 64, 64);
-    Architecture arch = searchArch();
+    // M = 129,729,600 = 2^6 3^4 5^2 7 11 13 has 68,040 ordered
+    // factorizations over three levels, more than the 2^16 splits a
+    // dimension materializes, so the space cannot encode points:
+    // every neighborhood strategy must then return exactly what
+    // RandomSearch returns.
+    Workload w = makeMatmul(129729600, 4, 4);
+    Architecture arch = deepArch();
     SafSpec none;
     MapperOptions opts;
     opts.samples = 200;
-    opts.mapspace.max_splits_per_dim = 2;
-    ASSERT_FALSE(MapSpace(w, arch, {}, opts.mapspace).pointEncodable());
+    MapSpace space(w, arch);
+    ASSERT_EQ(space.splitCount(w.dimIndex("M")), 68040);
+    ASSERT_FALSE(space.pointEncodable());
     for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xC0FFEE}}) {
         opts.seed = seed;
         opts.strategy = SearchStrategyKind::Random;
@@ -680,19 +702,7 @@ TEST(WarmStart, IncompatibleElitesAreSkippedGracefully)
     // two-level one: the elite cannot re-encode (level-count
     // mismatch), so it must be skipped without poisoning the search.
     Workload w = makeMatmul(32, 32, 32);
-    StorageLevelSpec dram;
-    dram.name = "DRAM";
-    dram.storage_class = StorageClass::DRAM;
-    dram.bandwidth_words_per_cycle = 16.0;
-    StorageLevelSpec l2;
-    l2.name = "L2";
-    l2.capacity_words = 16384;
-    l2.bandwidth_words_per_cycle = 8.0;
-    StorageLevelSpec l1;
-    l1.name = "L1";
-    l1.capacity_words = 4096;
-    l1.bandwidth_words_per_cycle = 8.0;
-    Architecture deep("deep", {dram, l2, l1}, ComputeSpec{});
+    Architecture deep = deepArch();
     SafSpec none;
 
     auto pool = std::make_shared<WarmStartPool>();
@@ -718,14 +728,16 @@ TEST(SearchStrategies, ExplicitExhaustiveOnHugeSpaceIsCatchable)
 {
     // A space beyond the materialization limits is not enumerable;
     // asking for exhaustive search anyway is a configuration error
-    // surfaced as a catchable FatalError, not a process abort.
-    Workload w = makeMatmul(32, 32, 32);
-    Architecture arch = searchArch();
+    // surfaced as a catchable FatalError, not a process abort. 256 =
+    // 2^8 splits 45 ways over three levels, and 45^3 = 91,125 tilings
+    // exceed the 2^16 accounted exactly.
+    Workload w = makeMatmul(256, 256, 256);
+    Architecture arch = deepArch();
     SafSpec none;
     MapperOptions opts;
     opts.strategy = SearchStrategyKind::Exhaustive;
-    opts.mapspace.max_tilings = 8;  // 6^3 tilings exceed this
     Mapper mapper(w, arch, none, opts);
+    ASSERT_EQ(mapper.mapspace().tilingCount(), 91125);
     ASSERT_LT(mapper.mapspace().size().enumerable, 0);
     EXPECT_THROW(mapper.search(), FatalError);
 }
