@@ -555,10 +555,9 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
         // reads), so bypassing it saves accesses and capacity on every
         // metric. The innermost keep (no b) is never dominated.
         bool dominated = false;
-        for (int i = 0; i < F && options_.prune_dominated_keeps &&
-                        !dominated;
-             ++i) {
-            // Keeping levels inner to l, then the bit of the nearest b.
+        for (int i = 0; i < F && !dominated; ++i) {
+            // Levels inner to l that keep the tensor: the lowest is b,
+            // and `between` is the level range [l, b).
             std::uint64_t inner = col & ~((level_bit(i) << 1) - 1);
             if (kept(bits, i) && inner != 0) {
                 std::uint64_t between = (inner & (~inner + 1)) -

@@ -523,10 +523,9 @@ class MapSpace
     std::vector<std::uint64_t>
     relevantLevelMasks(const Factors &factors) const;
 
-    /** Admissible free-level keep combinations of tensor @p t (bit
-     *  i = kept at `keep_free_levels_[i]`), minus dominated ones when
-     *  `prune_dominated_keeps`; @p relevant_mask from
-     *  relevantLevelMasks. */
+    /** Non-dominated free-level keep combinations of tensor @p t
+     *  (bit i = kept at `keep_free_levels_[i]`); @p relevant_mask is
+     *  its entry of relevantLevelMasks. */
     std::vector<std::uint32_t>
     keepCombos(int t, std::uint64_t relevant_mask) const;
 
