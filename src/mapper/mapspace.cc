@@ -397,6 +397,9 @@ MapSpace::spatialCandidates(
     int level, const std::vector<std::int64_t> &factors) const
 {
     std::vector<int> candidates;
+    if (arch_.level(level).fanout <= 1) {
+        return candidates;
+    }
     for (int d = 0; d < dimCount(); ++d) {
         if (spatialCandidate(level, d, factors[static_cast<std::size_t>(d)])) {
             candidates.push_back(d);
@@ -543,6 +546,7 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
                    keep_free_levels_[static_cast<std::size_t>(i)]);
     };
     std::vector<std::uint32_t> combos;
+    combos.reserve(std::size_t{1} << F);
     for (std::uint32_t bits = 0;
          bits < (1u << static_cast<unsigned>(F)); ++bits) {
         std::uint64_t col = fixed;
@@ -578,18 +582,18 @@ MapSpace::capacityPruned(const Factors &factors) const
     const int S = levelCount();
     const int D = dimCount();
     const int T = workload_.tensorCount();
-    for (int l = 0; l < S; ++l) {
+    // Per-dimension tile at level l: the product of factors at l and
+    // below, accumulated innermost level first.
+    std::vector<std::int64_t> tiles(static_cast<std::size_t>(D), 1);
+    for (int l = S - 1; l >= 0; --l) {
+        for (int d = 0; d < D; ++d) {
+            tiles[static_cast<std::size_t>(d)] *=
+                factors[static_cast<std::size_t>(l)]
+                       [static_cast<std::size_t>(d)];
+        }
         double cap = arch_.level(l).capacity_words;
         if (std::isinf(cap)) {
             continue;
-        }
-        std::vector<std::int64_t> tiles(static_cast<std::size_t>(D), 1);
-        for (int d = 0; d < D; ++d) {
-            for (int l2 = l; l2 < S; ++l2) {
-                tiles[static_cast<std::size_t>(d)] *=
-                    factors[static_cast<std::size_t>(l2)]
-                           [static_cast<std::size_t>(d)];
-            }
         }
         // Minimum possible occupancy: only tensors kept under every
         // admissible mask count, at their dense tile footprint (the
@@ -655,8 +659,7 @@ MapSpace::Block::counts() const
                   static_cast<double>(spatial);
         keeps_raw *= static_cast<double>(
             space_.keep_choices_[static_cast<std::size_t>(l)].size());
-        c.size = math::mulSat(c.size, perms);
-        c.size = math::mulSat(c.size, spatial);
+        c.size = math::mulSat(math::mulSat(c.size, perms), spatial);
     }
     std::int64_t keep_block = 1;
     if (per_tensor_keeps_) {
