@@ -652,7 +652,7 @@ TEST(MapSpace, RejectsTooManyDimensionsOrLevels)
     EXPECT_NE(wide.find("has 65"), std::string::npos) << wide;
 
     Workload unit = makeMatmul(1, 1, 1);
-    MapSpaceOptions closed;  // an open keep axis on 31 levels is 2^31
+    MapSpaceOptions closed;  // 31 open keep levels: 2^31 combinations
     closed.explore_bypass = false;
     EXPECT_EQ(constructionError(unit, tallArch(32), closed), "");
     std::string tall = constructionError(unit, tallArch(33));
