@@ -7,6 +7,9 @@
  * Expected shape: > 99% total-cycle accuracy; the uniform model shows
  * a few percent error on layers where both operands are sparse and
  * compressed, while the actual-data model closes the gap.
+ *
+ * Exit-code gate: the binary prints a FAIL line and exits 1 when
+ * either model's total-cycle error reaches the paper's 1% bound.
  */
 
 #include <cstdio>
@@ -119,13 +122,30 @@ main()
                         r.actual_cycles, uni_err, act_err);
         }
     }
+    const double uni_total_err =
+        math::relativeError(uni_total, sim_total) * 100;
+    const double act_total_err =
+        math::relativeError(act_total, sim_total) * 100;
     std::printf("\ntotal cycles: sim=%.0f uniform=%.0f (%.2f%% err) "
                 "actual-data=%.0f (%.2f%% err)\n",
-                sim_total, uni_total,
-                math::relativeError(uni_total, sim_total) * 100,
-                act_total,
-                math::relativeError(act_total, sim_total) * 100);
+                sim_total, uni_total, uni_total_err, act_total,
+                act_total_err);
     std::printf("(paper: >99%% total accuracy; uniform model up to ~7%% "
                 "per-layer error, actual-data model near-exact)\n");
-    return 0;
+
+    // The paper's >99% total accuracy: each model's total-cycle error
+    // must stay below 1%.
+    constexpr double kMaxTotalErrPct = 1.0;
+    int failures = 0;
+    const struct { const char *model; double err; } totals[] = {
+        {"uniform", uni_total_err}, {"actual-data", act_total_err}};
+    for (const auto &total : totals) {
+        if (total.err >= kMaxTotalErrPct) {
+            std::printf("FAIL: %s total-cycle error %.2f%% reaches "
+                        "%.1f%%\n",
+                        total.model, total.err, kMaxTotalErrPct);
+            ++failures;
+        }
+    }
+    return failures == 0 ? 0 : 1;
 }

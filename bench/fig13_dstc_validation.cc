@@ -9,6 +9,9 @@
  * density; Sparseloop tracks the simulator with single-digit-percent
  * average error at moderate/high densities, erring optimistic (it
  * ignores MAC-array quantization and bank conflicts, cf. Sec. 6.3.3).
+ *
+ * Exit-code gate: the binary prints a FAIL line and exits 1 when the
+ * average error at density >= 0.3 exceeds the paper's 7.6%.
  */
 
 #include <cstdio>
@@ -61,8 +64,17 @@ main()
         std::printf("%-9.1f %-14.4f %-14.4f %-8.2f\n", density,
                     sim_norm, model_norm, err);
     }
+    const double avg_err = total_err / count;
     std::printf("\naverage error (density >= 0.3): %.2f%% "
                 "(paper: 7.6%% average)\n",
-                total_err / count);
+                avg_err);
+
+    constexpr double kPaperAvgErrPct = 7.6;
+    if (avg_err > kPaperAvgErrPct) {
+        std::printf("FAIL: average error %.2f%% exceeds the paper's "
+                    "%.1f%%\n",
+                    avg_err, kPaperAvgErrPct);
+        return 1;
+    }
     return 0;
 }

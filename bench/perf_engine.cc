@@ -24,10 +24,14 @@
  *    `advisory` (the regression gate skips them: a single-core host
  *    cannot measure scaling, only overhead).
  *
+ * Every rate is the median of 5 timed repetitions of a calibrated
+ * iteration count (each repetition lasts at least 0.2 s).
+ *
  * Usage: perf_engine [output.json]   (stdout when omitted)
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -237,24 +241,35 @@ scnnConvScenario()
                     std::move(d.safs), std::move(mappings)};
 }
 
-/** Calibrated evals/sec: double the iteration count until the run
- *  lasts at least @p min_seconds, then report the final rate. */
+/** Timed repetitions behind every reported rate. */
+constexpr int kRepetitions = 5;
+
+/** Calibrated evals/sec: double the iteration count until one run
+ *  lasts at least @p min_seconds, then time `kRepetitions` runs of
+ *  that many iterations and report the median rate (robust to a
+ *  transient stall in any one repetition). */
 template <typename F>
 double
 evalsPerSec(F &&one_eval, double min_seconds = 0.2)
 {
-    int iters = 1;
-    for (;;) {
-        double sec = bench::timeSeconds([&] {
+    auto timeIters = [&](int iters) {
+        return bench::timeSeconds([&] {
             for (int i = 0; i < iters; ++i) {
                 one_eval(i);
             }
         });
-        if (sec >= min_seconds) {
-            return static_cast<double>(iters) / sec;
-        }
+    };
+    int iters = 1;
+    while (timeIters(iters) < min_seconds) {
         iters *= 2;
     }
+    std::array<double, kRepetitions> rates;
+    for (double &rate : rates) {
+        rate = static_cast<double>(iters) / timeIters(iters);
+    }
+    auto mid = rates.begin() + kRepetitions / 2;
+    std::nth_element(rates.begin(), mid, rates.end());
+    return *mid;
 }
 
 struct BatchRate
@@ -286,13 +301,9 @@ runScenario(const Scenario &s)
     Engine engine(s.arch);
     const Mapping &m0 = s.mappings.front();
 
-    // The cold rates feed the gated engine/reference ratio, so they
-    // must be robust to transient host load: interleave best-of-3
-    // calibrated measurements of the two sides. Taking each side's
-    // peak compares the two paths at their least-disturbed, which
-    // keeps the ratio stable even when a noisy neighbor slows the
-    // wall clock (both peaks degrade together on a steadily loaded
-    // host, leaving the ratio meaningful there too).
+    // The cold rates feed the gated engine/reference ratio; each side
+    // is a median over repetitions, so one disturbed repetition moves
+    // neither side of the ratio.
     auto cold_one = [&](int) {
         EvalResult res = engine.evaluate(s.workload, m0, s.safs);
         if (!res.valid && res.cycles < 0) {
@@ -306,13 +317,8 @@ runScenario(const Scenario &s)
             std::abort();
         }
     };
-    r.cold_engine = 0.0;
-    r.cold_reference = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        r.cold_engine = std::max(r.cold_engine, evalsPerSec(cold_one));
-        r.cold_reference =
-            std::max(r.cold_reference, evalsPerSec(ref_one));
-    }
+    r.cold_engine = evalsPerSec(cold_one);
+    r.cold_reference = evalsPerSec(ref_one);
 
     EvalCache cache;
     (void)evaluateCached(engine, cache, s.workload, m0, s.safs);
@@ -334,9 +340,9 @@ runScenario(const Scenario &s)
         BatchEvaluatorOptions opts;
         opts.num_threads = threads;
         double rate = evalsPerSec([&](int) {
-            // Fresh evaluator per repetition: uncached fan-out (the
+            // Fresh evaluator per iteration: uncached fan-out (the
             // persistent pool and its warm per-worker arenas carry
-            // across repetitions, as they do across mapper batches).
+            // across iterations, as they do across mapper batches).
             BatchEvaluator evaluator(engine, nullptr, opts);
             auto results = evaluator.evaluateBatch(points);
             if (results.size() != points.size()) {

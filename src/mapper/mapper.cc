@@ -31,19 +31,12 @@ resolveMapSpaceOptions(MapSpaceOptions opts, const SafSpec &safs)
 
 Mapper::Mapper(const Workload &workload, const Architecture &arch,
                const SafSpec &safs, MapperOptions options,
-               MapspaceConstraints constraints)
+               const MapspaceConstraints &constraints)
     : workload_(workload), arch_(arch), safs_(safs), options_(options),
-      constraints_(std::move(constraints)),
       space_(std::make_unique<MapSpace>(
-          workload_, arch_, constraints_,
+          workload_, arch_, constraints,
           resolveMapSpaceOptions(options_.mapspace, safs)))
 {
-}
-
-double
-Mapper::objectiveValue(const EvalResult &eval) const
-{
-    return options_.objective.scalarize(MetricVector::of(eval));
 }
 
 MapperResult

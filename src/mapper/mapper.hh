@@ -58,9 +58,9 @@ namespace sparseloop {
 struct MapperOptions
 {
     /**
-     * How candidates are ranked (mapper/objective.hh): a single
-     * metric, a weighted sum, a lexicographic order, or a constrained
-     * form. Defaults to `ObjectiveSpec::single(Metric::Edp)`.
+     * How candidates are ranked (mapper/objective.hh): the metric the
+     * search minimizes and the dimensions of its Pareto front.
+     * Defaults to EDP with a {Cycles, Energy} front.
      */
     ObjectiveSpec objective;
     /** Candidate budget: proposals evaluated before stopping (an
@@ -192,7 +192,7 @@ class Mapper
      */
     Mapper(const Workload &workload, const Architecture &arch,
            const SafSpec &safs, MapperOptions options = {},
-           MapspaceConstraints constraints = {});
+           const MapspaceConstraints &constraints = {});
 
     /** Run the search with a single evaluation worker. */
     MapperResult search() const;
@@ -208,30 +208,14 @@ class Mapper
 
     /** The options this mapper was constructed with. */
     const MapperOptions &options() const { return options_; }
-    /** The constraints the mapspace was pruned with. */
-    const MapspaceConstraints &constraints() const
-    {
-        return constraints_;
-    }
-
     /** The constraint-pruned mapspace the search runs over. */
     const MapSpace &mapspace() const { return *space_; }
-
-    /**
-     * Convenience: scalarize @p eval under this mapper's objective
-     * spec (`spec.scalarize(MetricVector::of(eval))`). The search
-     * loop does this inline; this accessor exists for callers scoring
-     * external evaluations — e.g. a hand-written mapping — on the
-     * same scale as the search result.
-     */
-    double objectiveValue(const EvalResult &eval) const;
 
   private:
     const Workload &workload_;
     const Architecture &arch_;
     const SafSpec &safs_;
     MapperOptions options_;
-    MapspaceConstraints constraints_;
     std::unique_ptr<MapSpace> space_;
 };
 

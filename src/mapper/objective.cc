@@ -6,8 +6,6 @@
 #include "mapper/objective.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/logging.hh"
@@ -45,13 +43,6 @@ MetricVector::of(const EvalResult &eval)
 
 namespace {
 
-/** The default Pareto dimensions: the canonical co-design trade-off. */
-std::vector<Metric>
-defaultFrontMetrics()
-{
-    return {Metric::Cycles, Metric::Energy};
-}
-
 /** Exact-double three-way comparison (the historical `<` / `==`). */
 int
 compareScalar(double a, double b)
@@ -67,167 +58,30 @@ compareScalar(double a, double b)
 
 } // namespace
 
-ObjectiveSpec::ObjectiveSpec()
-    : form_(Form::Single), primary_(Metric::Edp),
-      front_(defaultFrontMetrics())
-{
-}
-
 ObjectiveSpec
 ObjectiveSpec::single(Metric metric)
 {
     ObjectiveSpec spec;
-    spec.form_ = Form::Single;
     spec.primary_ = metric;
-    return spec;
-}
-
-ObjectiveSpec
-ObjectiveSpec::weightedSum(std::vector<Term> terms)
-{
-    SL_ASSERT(!terms.empty(),
-              "a weighted-sum objective needs at least one term");
-    ObjectiveSpec spec;
-    spec.form_ = Form::WeightedSum;
-    spec.primary_ = terms.front().metric;
-    spec.terms_ = std::move(terms);
-    return spec;
-}
-
-ObjectiveSpec
-ObjectiveSpec::lexicographic(std::vector<Metric> metrics)
-{
-    SL_ASSERT(!metrics.empty(),
-              "a lexicographic objective needs at least one metric");
-    ObjectiveSpec spec;
-    spec.form_ = Form::Lexicographic;
-    spec.primary_ = metrics.front();
-    spec.terms_.reserve(metrics.size());
-    for (Metric m : metrics) {
-        spec.terms_.push_back({m, 1.0});
-    }
-    return spec;
-}
-
-ObjectiveSpec
-ObjectiveSpec::constrained(Metric primary, std::vector<Bound> bounds)
-{
-    ObjectiveSpec spec;
-    spec.form_ = Form::Constrained;
-    spec.primary_ = primary;
-    spec.bounds_ = std::move(bounds);
     return spec;
 }
 
 ObjectiveSpec
 ObjectiveSpec::withFrontMetrics(std::vector<Metric> metrics) const
 {
-    SL_ASSERT(!metrics.empty(),
-              "a Pareto front needs at least one metric");
+    if (metrics.empty()) {
+        SL_FATAL("ObjectiveSpec::withFrontMetrics: a Pareto front ",
+                 "needs at least one metric");
+    }
     ObjectiveSpec spec = *this;
     spec.front_ = std::move(metrics);
     return spec;
 }
 
-bool
-ObjectiveSpec::feasible(const MetricVector &m) const
-{
-    for (const Bound &bound : bounds_) {
-        if (m.at(bound.metric) > bound.cap) {
-            return false;
-        }
-    }
-    return true;
-}
-
-double
-ObjectiveSpec::violation(const MetricVector &m) const
-{
-    double total = 0.0;
-    for (const Bound &bound : bounds_) {
-        const double value = m.at(bound.metric);
-        if (value > bound.cap) {
-            total += (value - bound.cap) / std::max(bound.cap, 1.0);
-        }
-    }
-    return total;
-}
-
-double
-ObjectiveSpec::scalarize(const MetricVector &m) const
-{
-    switch (form_) {
-      case Form::Single:
-        return m.at(primary_);
-      case Form::WeightedSum: {
-        double sum = 0.0;
-        for (const Term &term : terms_) {
-            sum += term.weight * m.at(term.metric);
-        }
-        return sum;
-      }
-      case Form::Lexicographic:
-        return m.at(primary_);
-      case Form::Constrained:
-        return feasible(m)
-            ? m.at(primary_)
-            : std::numeric_limits<double>::infinity();
-    }
-    SL_PANIC("unknown objective form");
-}
-
 int
 ObjectiveSpec::compare(const MetricVector &a, const MetricVector &b) const
 {
-    switch (form_) {
-      case Form::Single:
-      case Form::WeightedSum:
-        return compareScalar(scalarize(a), scalarize(b));
-      case Form::Lexicographic:
-        for (const Term &term : terms_) {
-            int c = compareScalar(a.at(term.metric), b.at(term.metric));
-            if (c != 0) {
-                return c;
-            }
-        }
-        return 0;
-      case Form::Constrained: {
-        // One pass per vector: feasibility and total violation come
-        // from the same bound scan (feasible() + violation() used to
-        // walk the bounds twice per vector).
-        bool fa = true;
-        bool fb = true;
-        double va = 0.0;
-        double vb = 0.0;
-        for (const Bound &bound : bounds_) {
-            const double cap_norm = std::max(bound.cap, 1.0);
-            const double value_a = a.at(bound.metric);
-            if (value_a > bound.cap) {
-                fa = false;
-                va += (value_a - bound.cap) / cap_norm;
-            }
-            const double value_b = b.at(bound.metric);
-            if (value_b > bound.cap) {
-                fb = false;
-                vb += (value_b - bound.cap) / cap_norm;
-            }
-        }
-        if (fa != fb) {
-            return fa ? -1 : 1;
-        }
-        if (!fa) {
-            // Both infeasible: least total violation first, so a
-            // search in an all-infeasible region still descends
-            // toward the feasible set.
-            int c = compareScalar(va, vb);
-            if (c != 0) {
-                return c;
-            }
-        }
-        return compareScalar(a.at(primary_), b.at(primary_));
-      }
-    }
-    SL_PANIC("unknown objective form");
+    return compareScalar(scalarize(a), scalarize(b));
 }
 
 bool
@@ -241,49 +95,6 @@ ObjectiveSpec::better(const MetricVector &a, std::int64_t index_a,
     return index_a < index_b;
 }
 
-std::string
-ObjectiveSpec::describe() const
-{
-    auto num = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::string(buf);
-    };
-    switch (form_) {
-      case Form::Single:
-        return std::string("min ") + toString(primary_);
-      case Form::WeightedSum: {
-        std::string out = "min";
-        const char *sep = " ";
-        for (const Term &term : terms_) {
-            out += sep + num(term.weight) + "*" + toString(term.metric);
-            sep = " + ";
-        }
-        return out;
-      }
-      case Form::Lexicographic: {
-        std::string out = "min lex(";
-        const char *sep = "";
-        for (const Term &term : terms_) {
-            out += sep + std::string(toString(term.metric));
-            sep = ", ";
-        }
-        return out + ")";
-      }
-      case Form::Constrained: {
-        std::string out = std::string("min ") + toString(primary_);
-        const char *sep = " s.t. ";
-        for (const Bound &bound : bounds_) {
-            out += sep + std::string(toString(bound.metric)) +
-                " <= " + num(bound.cap);
-            sep = ", ";
-        }
-        return out;
-      }
-    }
-    SL_PANIC("unknown objective form");
-}
-
 // ---------------------------------------------------------------------------
 // ParetoArchive
 // ---------------------------------------------------------------------------
@@ -292,8 +103,10 @@ ParetoArchive::ParetoArchive(std::vector<Metric> metrics,
                              std::size_t capacity)
     : metrics_(std::move(metrics)), capacity_(capacity)
 {
-    SL_ASSERT(!metrics_.empty(),
-              "a Pareto archive needs at least one metric");
+    if (metrics_.empty()) {
+        SL_FATAL("ParetoArchive: a Pareto archive needs at least one ",
+                 "metric");
+    }
 }
 
 bool
@@ -435,8 +248,10 @@ hypervolume2d(const std::vector<ParetoEntry> &front,
               const std::vector<Metric> &metrics,
               const MetricVector &reference)
 {
-    SL_ASSERT(metrics.size() == 2,
-              "hypervolume2d needs exactly two metrics");
+    if (metrics.size() != 2) {
+        SL_FATAL("hypervolume2d needs exactly two metrics, got ",
+                 metrics.size());
+    }
     const Metric mx = metrics[0];
     const Metric my = metrics[1];
     const double rx = reference.at(mx);

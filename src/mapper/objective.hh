@@ -10,20 +10,19 @@
  *  - `MetricVector` — the metric vector extracted once per evaluated
  *    candidate (cycles, energy, EDP, peak storage capacity, metadata
  *    overhead).
- *  - `ObjectiveSpec` — how a search ranks candidates: a single metric,
- *    a weighted sum, a lexicographic order, or a constrained form
- *    ("min cycles subject to energy <= cap"). The spec provides both
- *    the scalar feedback `SearchStrategy::observe` consumes
- *    (`scalarize`) and the total-order comparator the drivers and the
- *    warm-start pool reduce with (`compare`/`better`), so the
- *    tie-break rule lives in exactly one place.
+ *  - `ObjectiveSpec` — how a search ranks candidates: one metric
+ *    (EDP by default) plus the dimensions of the Pareto front the
+ *    drivers maintain alongside it. The spec provides both the scalar
+ *    feedback `SearchStrategy::observe` consumes (`scalarize`) and the
+ *    total-order comparator the drivers and the warm-start pool reduce
+ *    with (`compare`/`better`), so the tie-break rule lives in exactly
+ *    one place. Trade-offs between metrics are read off the front.
  *  - `ParetoArchive` — a deterministic bounded archive of
  *    non-dominated (mapping, metric-vector) candidates maintained by
  *    the drivers alongside the scalar incumbent and surfaced as
  *    `MapperResult::pareto_front`.
  *
- * Determinism contract: with `ObjectiveSpec` = a plain metric (e.g.
- * EDP, the default), `scalarize`/`better` reproduce the historical
+ * Determinism contract: `scalarize`/`better` reproduce the historical
  * scalar (objective, proposal-index) reduction bit-for-bit, so every
  * strategy's `MapperResult` is unchanged by this layer; and because
  * the archive is fed candidates in proposal order with all decisions
@@ -37,7 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mapping/mapping.hh"
@@ -99,14 +97,15 @@ struct MetricVector
 };
 
 /**
- * How a search ranks candidates. A spec is one of four forms, built
- * through the named factories; the default is a single-metric EDP
- * spec, which reproduces the historical scalar search bit-identically.
+ * How a search ranks candidates: minimize one metric, and track the
+ * Pareto front over `frontMetrics()`. The default is EDP with a
+ * {Cycles, Energy} front, which reproduces the historical scalar
+ * search bit-identically.
  *
- * Every form provides:
+ * The spec provides:
  *  - `scalarize` — the scalar feedback handed to
- *    `SearchStrategy::observe` (lower is better, +infinity for
- *    candidates a constrained spec rejects), and
+ *    `SearchStrategy::observe` (the metric value, lower is better),
+ *    and
  *  - `compare`/`better` — the total order the drivers reduce with;
  *    `better` folds in the proposal-index tie-break, so the Mapper
  *    driver and the warm-start pool share one rule.
@@ -114,95 +113,37 @@ struct MetricVector
 class ObjectiveSpec
 {
   public:
-    /** Which scalarization the spec applies. */
-    enum class Form
-    {
-        Single,         ///< minimize one metric
-        WeightedSum,    ///< minimize a weighted sum of metrics
-        Lexicographic,  ///< minimize metrics in priority order
-        Constrained,    ///< minimize a metric subject to caps
-    };
-
-    /** One weighted-sum term. */
-    struct Term
-    {
-        Metric metric;        ///< which metric
-        double weight = 1.0;  ///< its weight in the sum
-    };
-
-    /** One constraint of a constrained spec: `metric <= cap`. */
-    struct Bound
-    {
-        Metric metric;  ///< constrained metric
-        double cap;     ///< inclusive upper bound
-    };
-
     /** Default: single-metric EDP (the historical objective). */
-    ObjectiveSpec();
+    ObjectiveSpec() = default;
 
-    /** Minimize @p metric alone. */
+    /** Minimize @p metric. */
     static ObjectiveSpec single(Metric metric);
-    /** Minimize the weighted sum of @p terms (at least one). */
-    static ObjectiveSpec weightedSum(std::vector<Term> terms);
-    /** Minimize @p metrics in priority order (at least one): a
-     *  candidate wins on the first metric where the values differ. */
-    static ObjectiveSpec lexicographic(std::vector<Metric> metrics);
-    /**
-     * Minimize @p primary subject to every `metric <= cap` in
-     * @p bounds. Feasible candidates always rank ahead of infeasible
-     * ones; among infeasible candidates, smaller total relative
-     * violation ranks first (so a search in an all-infeasible region
-     * still gets a descent signal through `compare`, while
-     * `scalarize` reports +infinity to steer strategies away).
-     */
-    static ObjectiveSpec constrained(Metric primary,
-                                     std::vector<Bound> bounds);
 
     /**
-     * Copy of this spec with the Pareto-archive dimensions overridden
-     * (at least one metric). The default for every form is
+     * Copy of this spec with the Pareto-archive dimensions overridden.
+     * Fatal (SL_FATAL) when @p metrics is empty. The default is
      * {Cycles, Energy} — the canonical co-design trade-off.
      */
     ObjectiveSpec withFrontMetrics(std::vector<Metric> metrics) const;
 
-    /** The spec's scalarization form. */
-    Form form() const { return form_; }
-    /** Primary metric (Single and Constrained forms). */
+    /** The minimized metric. */
     Metric primary() const { return primary_; }
-    /** Weighted-sum terms (WeightedSum) or priority-ordered metrics
-     *  with unit weights (Lexicographic); empty otherwise. */
-    const std::vector<Term> &terms() const { return terms_; }
-    /** Constraints (Constrained form); empty otherwise. */
-    const std::vector<Bound> &bounds() const { return bounds_; }
     /** Dominance dimensions of the Pareto archive this spec asks the
      *  driver to maintain. */
     const std::vector<Metric> &frontMetrics() const { return front_; }
 
-    /** Whether @p m satisfies every constraint (vacuously true for
-     *  unconstrained forms). */
-    bool feasible(const MetricVector &m) const;
-
-    /** Total relative constraint violation of @p m (0 when feasible):
-     *  sum over violated bounds of `(value - cap) / max(cap, 1)`. */
-    double violation(const MetricVector &m) const;
-
-    /**
-     * Scalar feedback for `SearchStrategy::observe` (lower is
-     * better): the metric value (Single), the weighted sum
-     * (WeightedSum), the first-priority metric (Lexicographic), or
-     * the primary metric with +infinity for infeasible candidates
-     * (Constrained).
-     */
-    double scalarize(const MetricVector &m) const;
+    /** Scalar feedback for `SearchStrategy::observe` (lower is
+     *  better): the value of the primary metric. */
+    double scalarize(const MetricVector &m) const
+    {
+        return m.at(primary_);
+    }
 
     /**
      * Total preorder on metric vectors: negative when @p a ranks
      * strictly better than @p b, positive when strictly worse, 0 when
-     * tied. Single/WeightedSum compare scalarized values exactly (the
-     * historical `<` / `==` double comparison); Lexicographic
-     * compares metric by metric; Constrained ranks feasible ahead of
-     * infeasible, then by primary metric (feasible) or by violation
-     * then primary (infeasible).
+     * tied — the historical exact `<` / `==` double comparison of the
+     * primary metric.
      */
     int compare(const MetricVector &a, const MetricVector &b) const;
 
@@ -216,16 +157,10 @@ class ObjectiveSpec
     bool better(const MetricVector &a, std::int64_t index_a,
                 const MetricVector &b, std::int64_t index_b) const;
 
-    /** Human-readable description, e.g. "min edp" or
-     *  "min cycles s.t. energy <= 1e+09". */
-    std::string describe() const;
-
   private:
-    Form form_ = Form::Single;
     Metric primary_ = Metric::Edp;
-    std::vector<Term> terms_;
-    std::vector<Bound> bounds_;
-    std::vector<Metric> front_;
+    /** Default front: the canonical co-design trade-off. */
+    std::vector<Metric> front_{Metric::Cycles, Metric::Energy};
 };
 
 /** One archived non-dominated candidate. */
@@ -262,6 +197,8 @@ class ParetoArchive
 {
   public:
     /**
+     * Fatal (SL_FATAL) when @p metrics is empty.
+     *
      * @param metrics dominance dimensions (at least one).
      * @param capacity max entries retained; 0 disables the archive
      *        (every insert is a no-op).
@@ -318,8 +255,8 @@ class ParetoArchive
  * Exact hypervolume of a two-metric front w.r.t. @p reference: the
  * area dominated by the front within the box it spans to the
  * reference point (larger is better). Entries at or beyond the
- * reference on either metric contribute nothing. Fatal unless
- * @p metrics has exactly two entries.
+ * reference on either metric contribute nothing. Fatal (SL_FATAL)
+ * unless @p metrics has exactly two entries.
  */
 double hypervolume2d(const std::vector<ParetoEntry> &front,
                      const std::vector<Metric> &metrics,

@@ -176,9 +176,8 @@ class SearchStrategy
     /**
      * Feedback for the batch returned by the previous `propose` call:
      * `objectives[i]` is the scalarized objective of `batch[i]` under
-     * the driver's `ObjectiveSpec` (+infinity for invalid candidates
-     * and for candidates a constrained spec rejects; lower is
-     * better).
+     * the driver's `ObjectiveSpec` (+infinity for invalid
+     * candidates; lower is better).
      */
     virtual void observe(const std::vector<SearchCandidate> &batch,
                          const std::vector<double> &objectives);

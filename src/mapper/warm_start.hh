@@ -16,7 +16,7 @@
  *
  * Storing full metric vectors (not just the recording search's
  * scalar) is what lets heterogeneous sweeps share one pool: an
- * energy-constrained search can warm-start from the elites of an
+ * energy-minimizing search can warm-start from the elites of an
  * EDP-optimized sibling, ranked by what *it* cares about.
  *
  * Re-encoding is the safety valve: `MapSpace::encode` fails cleanly
@@ -91,7 +91,7 @@ class WarmStartPool
      * The pooled elite mappings re-ranked under a consuming search's
      * spec: best first by `ObjectiveSpec::compare` over the stored
      * metric vectors, insertion order breaking ties (older first).
-     * This is how an energy-constrained search warm-starts from an
+     * This is how an energy-minimizing search warm-starts from an
      * EDP-optimized sibling's elites.
      */
     std::vector<Mapping> elites(const ObjectiveSpec &spec) const;

@@ -1,23 +1,20 @@
 /**
  * @file
  * Tests for the objective layer (mapper/objective.hh): metric
- * extraction from EvalResult, the four ObjectiveSpec scalarization
- * forms and their shared total-order comparator, ParetoArchive
- * dominance / dedupe / crowding-bounded eviction semantics, and the
- * exact 2-D hypervolume.
+ * extraction from EvalResult, the single-metric ObjectiveSpec and its
+ * shared total-order comparator, ParetoArchive dominance / dedupe /
+ * crowding-bounded eviction semantics, the exact 2-D hypervolume, and
+ * the fatal errors each raises on bad caller input.
  */
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
+#include "common/logging.hh"
 #include "mapper/objective.hh"
 #include "mapping/mapping.hh"
 
 namespace sparseloop {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** A metric vector with explicit cycles/energy (EDP = the product)
  *  and optional capacity/metadata values. */
@@ -78,58 +75,10 @@ TEST(ObjectiveSpec, DefaultIsSingleEdpWithCyclesEnergyFront)
 {
     ObjectiveSpec def;
     EXPECT_DOUBLE_EQ(def.scalarize(vec(50.0, 4.0)), 200.0);
-    EXPECT_EQ(def.form(), ObjectiveSpec::Form::Single);
     EXPECT_EQ(def.primary(), Metric::Edp);
     ASSERT_EQ(def.frontMetrics().size(), 2u);
     EXPECT_EQ(def.frontMetrics()[0], Metric::Cycles);
     EXPECT_EQ(def.frontMetrics()[1], Metric::Energy);
-}
-
-TEST(ObjectiveSpec, WeightedSumScalarizes)
-{
-    ObjectiveSpec spec = ObjectiveSpec::weightedSum(
-        {{Metric::Cycles, 2.0}, {Metric::Energy, 0.5}});
-    EXPECT_DOUBLE_EQ(spec.scalarize(vec(10.0, 8.0)), 24.0);
-    // Comparator follows the scalar exactly.
-    EXPECT_LT(spec.compare(vec(10.0, 8.0), vec(10.0, 9.0)), 0);
-    EXPECT_EQ(spec.compare(vec(10.0, 8.0), vec(8.0, 16.0)), 0);
-}
-
-TEST(ObjectiveSpec, LexicographicComparesInPriorityOrder)
-{
-    ObjectiveSpec spec =
-        ObjectiveSpec::lexicographic({Metric::Cycles, Metric::Energy});
-    // Scalar feedback is the first-priority metric.
-    EXPECT_DOUBLE_EQ(spec.scalarize(vec(10.0, 99.0)), 10.0);
-    // Primary decides when it differs ...
-    EXPECT_LT(spec.compare(vec(9.0, 99.0), vec(10.0, 1.0)), 0);
-    // ... and the secondary breaks primary ties.
-    EXPECT_GT(spec.compare(vec(10.0, 5.0), vec(10.0, 4.0)), 0);
-    EXPECT_EQ(spec.compare(vec(10.0, 5.0), vec(10.0, 5.0)), 0);
-}
-
-TEST(ObjectiveSpec, ConstrainedRanksFeasibilityFirst)
-{
-    ObjectiveSpec spec = ObjectiveSpec::constrained(
-        Metric::Cycles, {{Metric::Energy, 100.0}});
-    const MetricVector feasible_fast = vec(10.0, 90.0);
-    const MetricVector feasible_slow = vec(20.0, 50.0);
-    const MetricVector infeasible = vec(1.0, 150.0);
-    const MetricVector very_infeasible = vec(1.0, 300.0);
-
-    EXPECT_TRUE(spec.feasible(feasible_fast));
-    EXPECT_FALSE(spec.feasible(infeasible));
-    EXPECT_DOUBLE_EQ(spec.violation(very_infeasible), 2.0);
-
-    // Scalar feedback steers strategies away from infeasible points.
-    EXPECT_DOUBLE_EQ(spec.scalarize(feasible_fast), 10.0);
-    EXPECT_EQ(spec.scalarize(infeasible), kInf);
-
-    // Feasible beats infeasible even with worse primary; among
-    // feasible, primary decides; among infeasible, lesser violation.
-    EXPECT_LT(spec.compare(feasible_slow, infeasible), 0);
-    EXPECT_LT(spec.compare(feasible_fast, feasible_slow), 0);
-    EXPECT_LT(spec.compare(infeasible, very_infeasible), 0);
 }
 
 TEST(ObjectiveSpec, BetterFoldsInTheProposalIndexTieBreak)
@@ -145,13 +94,9 @@ TEST(ObjectiveSpec, BetterFoldsInTheProposalIndexTieBreak)
     EXPECT_TRUE(spec.better(vec(9.0, 10.0), 7, b, 3));
 }
 
-TEST(ObjectiveSpec, DescribeNamesTheForm)
+TEST(ObjectiveSpec, EmptyFrontMetricsAreFatal)
 {
-    EXPECT_EQ(ObjectiveSpec().describe(), "min edp");
-    EXPECT_EQ(ObjectiveSpec::constrained(Metric::Cycles,
-                                         {{Metric::Energy, 100.0}})
-                  .describe(),
-              "min cycles s.t. energy <= 100");
+    EXPECT_THROW(ObjectiveSpec().withFrontMetrics({}), FatalError);
 }
 
 TEST(ParetoArchive, KeepsOnlyNonDominatedEntries)
@@ -225,6 +170,11 @@ TEST(ParetoArchive, ZeroCapacityDisablesTracking)
     EXPECT_EQ(archive.size(), 0u);
 }
 
+TEST(ParetoArchive, NoMetricsIsFatal)
+{
+    EXPECT_THROW(ParetoArchive({}, 8), FatalError);
+}
+
 TEST(Hypervolume, ExactAreaForATwoMetricFront)
 {
     const std::vector<Metric> axes{Metric::Cycles, Metric::Energy};
@@ -243,6 +193,18 @@ TEST(Hypervolume, ExactAreaForATwoMetricFront)
     // An empty front has zero hypervolume.
     EXPECT_DOUBLE_EQ(hypervolume2d(std::vector<ParetoEntry>{}, axes, ref),
                      0.0);
+}
+
+TEST(Hypervolume, OtherThanTwoMetricsIsFatal)
+{
+    const std::vector<ParetoEntry> front;
+    const MetricVector ref = vec(4.0, 4.0);
+    EXPECT_THROW(hypervolume2d(front, {Metric::Cycles}, ref), FatalError);
+    EXPECT_THROW(hypervolume2d(front,
+                               {Metric::Cycles, Metric::Energy,
+                                Metric::Edp},
+                               ref),
+                 FatalError);
 }
 
 } // namespace

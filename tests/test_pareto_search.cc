@@ -4,10 +4,9 @@
  * with the default EDP spec every strategy's MapperResult is
  * bit-identical to a replica of the pre-refactor scalar driver (at 1,
  * 4, and 8 evaluation threads); Pareto fronts are bit-identical
- * across driver batch sizes 1/7/256 and thread counts 1/4/8;
- * constrained and lexicographic specs match brute-force references on
- * an enumerable space; and the warm-start pool re-ranks its elites
- * under the consuming search's spec.
+ * across driver batch sizes 1/7/256 and thread counts 1/4/8; and the
+ * warm-start pool re-ranks its elites under the consuming search's
+ * spec.
  */
 
 #include <gtest/gtest.h>
@@ -247,111 +246,6 @@ TEST(ObjectiveLayer, ZeroParetoCapacityDisablesFrontTracking)
     EXPECT_TRUE(r.pareto_front.empty());
 }
 
-TEST(ObjectiveLayer, ConstrainedSpecMatchesBruteForce)
-{
-    // An enumerable constrained space searched exhaustively: the
-    // result must be the minimum-cycles mapping among those under the
-    // energy cap, computed independently by brute force.
-    Workload w = makeMatmul(16, 16, 16);
-    Architecture arch = searchArch();
-    SafSpec none;
-    MapspaceConstraints cons;
-    cons.levels.resize(2);
-    cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
-
-    MapperOptions opts;
-    opts.samples = 2000;
-    opts.strategy = SearchStrategyKind::Exhaustive;
-    // With the bypass axis open, the minimum-cycles mapping also fits
-    // under the cap (bypassing lowers energy without touching cycles),
-    // so the cap no longer separates the optima; close the axis to
-    // keep the constraint binding.
-    opts.mapspace.explore_bypass = false;
-    Mapper probe(w, arch, none, opts, cons);
-    const MapSpace &space = probe.mapspace();
-    ASSERT_GE(space.size().enumerable, 0);
-    ASSERT_LE(space.size().enumerable, opts.samples);
-
-    // Pick a cap between the global energy extremes so the
-    // constraint genuinely binds.
-    Engine engine(arch);
-    double min_energy = std::numeric_limits<double>::infinity();
-    double energy_at_min_cycles = 0.0;
-    double min_cycles = std::numeric_limits<double>::infinity();
-    for (std::int64_t i = 0; i < space.size().enumerable; ++i) {
-        EvalResult eval = engine.evaluate(w, space.mappingAt(i), none);
-        if (!eval.valid) {
-            continue;
-        }
-        min_energy = std::min(min_energy, eval.energy_pj);
-        if (eval.cycles < min_cycles) {
-            min_cycles = eval.cycles;
-            energy_at_min_cycles = eval.energy_pj;
-        }
-    }
-    ASSERT_LT(min_energy, energy_at_min_cycles)
-        << "the space has no cycles-vs-energy trade-off to constrain";
-    const double cap = (min_energy + energy_at_min_cycles) / 2.0;
-
-    double best_cycles = std::numeric_limits<double>::infinity();
-    for (std::int64_t i = 0; i < space.size().enumerable; ++i) {
-        EvalResult eval = engine.evaluate(w, space.mappingAt(i), none);
-        if (eval.valid && eval.energy_pj <= cap) {
-            best_cycles = std::min(best_cycles, eval.cycles);
-        }
-    }
-    ASSERT_TRUE(std::isfinite(best_cycles));
-
-    opts.objective = ObjectiveSpec::constrained(
-        Metric::Cycles, {{Metric::Energy, cap}});
-    MapperResult r = Mapper(w, arch, none, opts, cons).search();
-    ASSERT_TRUE(r.found);
-    EXPECT_LE(r.eval.energy_pj, cap);
-    EXPECT_DOUBLE_EQ(r.eval.cycles, best_cycles);
-    // The constraint binds: unconstrained min-cycles is infeasible.
-    EXPECT_GT(best_cycles, min_cycles);
-}
-
-TEST(ObjectiveLayer, LexicographicSpecMatchesBruteForce)
-{
-    Workload w = makeMatmul(16, 16, 16);
-    Architecture arch = searchArch();
-    SafSpec none;
-    MapspaceConstraints cons;
-    cons.levels.resize(2);
-    cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
-
-    MapperOptions opts;
-    opts.samples = 2000;
-    opts.strategy = SearchStrategyKind::Exhaustive;
-    opts.objective =
-        ObjectiveSpec::lexicographic({Metric::Cycles, Metric::Energy});
-    Mapper mapper(w, arch, none, opts, cons);
-    const MapSpace &space = mapper.mapspace();
-    ASSERT_GE(space.size().enumerable, 0);
-
-    Engine engine(arch);
-    double best_cycles = std::numeric_limits<double>::infinity();
-    double best_energy = std::numeric_limits<double>::infinity();
-    for (std::int64_t i = 0; i < space.size().enumerable; ++i) {
-        EvalResult eval = engine.evaluate(w, space.mappingAt(i), none);
-        if (!eval.valid) {
-            continue;
-        }
-        if (eval.cycles < best_cycles ||
-            (eval.cycles == best_cycles &&
-             eval.energy_pj < best_energy)) {
-            best_cycles = eval.cycles;
-            best_energy = eval.energy_pj;
-        }
-    }
-
-    MapperResult r = mapper.search();
-    ASSERT_TRUE(r.found);
-    EXPECT_DOUBLE_EQ(r.eval.cycles, best_cycles);
-    EXPECT_DOUBLE_EQ(r.eval.energy_pj, best_energy);
-}
-
 TEST(ObjectiveLayer, WarmStartPoolReRanksUnderTheConsumingSpec)
 {
     Workload w = makeMatmul(8, 8, 8);
@@ -382,37 +276,10 @@ TEST(ObjectiveLayer, WarmStartPoolReRanksUnderTheConsumingSpec)
     ASSERT_EQ(by_edp.size(), 2u);
     EXPECT_EQ(by_edp[0], a);
 
-    // An energy-minimizing consumer sees b first ...
+    // An energy-minimizing consumer sees b first.
     std::vector<Mapping> by_energy =
         pool.elites(ObjectiveSpec::single(Metric::Energy));
     EXPECT_EQ(by_energy[0], b);
-    // ... and so does an energy-constrained consumer whose cap only b
-    // meets.
-    std::vector<Mapping> by_cap = pool.elites(ObjectiveSpec::constrained(
-        Metric::Cycles, {{Metric::Energy, 15.0}}));
-    EXPECT_EQ(by_cap[0], b);
-}
-
-TEST(ObjectiveLayer, ConstrainedSearchKeepsFeedbackSemantics)
-{
-    // A constrained search where no candidate meets the cap: the
-    // search still reports found (valid candidates existed) and the
-    // incumbent is the least-violating candidate, so sweeps degrade
-    // gracefully instead of erroring.
-    Workload w = makeMatmul(16, 16, 16);
-    Architecture arch = searchArch();
-    SafSpec none;
-    MapperOptions opts;
-    opts.samples = 200;
-    opts.strategy = SearchStrategyKind::Random;
-    opts.objective = ObjectiveSpec::constrained(
-        Metric::Cycles, {{Metric::Energy, 1.0}});  // nothing fits
-    MapperResult r = Mapper(w, arch, none, opts).search();
-    ASSERT_TRUE(r.found);
-    EXPECT_GT(r.eval.energy_pj, 1.0);
-    // Every valid candidate scalarized to +infinity, but the archive
-    // still tracked the (feasibility-blind) metric front.
-    EXPECT_FALSE(r.pareto_front.empty());
 }
 
 } // namespace
