@@ -341,8 +341,8 @@ runScenario(const Scenario &s)
         opts.num_threads = threads;
         double rate = evalsPerSec([&](int) {
             // Fresh evaluator per iteration: uncached fan-out (the
-            // persistent pool and its warm per-worker arenas carry
-            // across iterations, as they do across mapper batches).
+            // persistent pool carries across iterations, as it does
+            // across mapper batches).
             BatchEvaluator evaluator(engine, nullptr, opts);
             auto results = evaluator.evaluateBatch(points);
             if (results.size() != points.size()) {

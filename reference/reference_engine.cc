@@ -667,6 +667,10 @@ referenceEvaluate(const Workload &workload, const Architecture &arch,
             f.level < 0 || f.level >= arch.levelCount()) {
             SL_FATAL("format SAF references unknown tensor or level");
         }
+        if (f.format.empty()) {
+            SL_FATAL("format SAF for tensor ", f.tensor, " at level ",
+                     f.level, " has no ranks");
+        }
     }
 
     DenseTraffic dense = analyzeDataflow(workload, arch, mapping);

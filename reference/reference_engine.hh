@@ -9,7 +9,7 @@
  *
  * This is the oracle of the differential test layer
  * (tests/test_engine_differential.cc): the production `Engine` carries
- * arena/flat-array allocation, hoisted per-SAF invariants, and fused
+ * inline/flat-array scratch, hoisted per-SAF invariants, and fused
  * passes, and every one of those optimizations must be *provably
  * invisible* — `referenceEvaluate` produces the `EvalResult` the naive
  * algorithm defines, and the test asserts the optimized engine matches

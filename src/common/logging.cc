@@ -5,22 +5,9 @@
 
 #include "common/logging.hh"
 
-#include <atomic>
 #include <iostream>
 
 namespace sparseloop {
-
-namespace {
-
-std::atomic<bool> fatal_throws{true};
-
-} // namespace
-
-void
-setFatalThrows(bool throws)
-{
-    fatal_throws.store(throws);
-}
 
 namespace detail {
 
@@ -29,11 +16,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::ostringstream oss;
     oss << "fatal: " << msg << " (" << file << ":" << line << ")";
-    if (fatal_throws.load()) {
-        throw FatalError(oss.str());
-    }
-    std::cerr << oss.str() << std::endl;
-    std::exit(1);
+    throw FatalError(oss.str());
 }
 
 void

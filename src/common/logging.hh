@@ -3,7 +3,8 @@
  * Status / error reporting helpers following the gem5 idiom.
  *
  * fatal()  -- the simulation cannot continue due to a user error
- *             (bad configuration, invalid mapping, ...); exits with code 1.
+ *             (bad configuration, invalid mapping, ...); throws
+ *             FatalError.
  * panic()  -- something happened that should never happen regardless of
  *             user input (an internal bug); aborts.
  * warn()   -- functionality that might not behave exactly as expected.
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace sparseloop {
@@ -41,7 +43,8 @@ void informImpl(const std::string &msg);
 
 } // namespace detail
 
-/** Abort with a user-error message (bad input / configuration). */
+/** Throw FatalError with a user-error message (bad input /
+ *  configuration). */
 #define SL_FATAL(...) \
     ::sparseloop::detail::fatalImpl(__FILE__, __LINE__, \
         ::sparseloop::detail::formatMessage(__VA_ARGS__))
@@ -80,12 +83,6 @@ class FatalError : public std::runtime_error
         : std::runtime_error(msg)
     {}
 };
-
-/**
- * Control whether SL_FATAL throws FatalError (default) or exits the
- * process. Tools that want hard exits can flip this.
- */
-void setFatalThrows(bool throws);
 
 } // namespace sparseloop
 

@@ -7,18 +7,15 @@
  * The previous helpers (common/parallel.hh) spawned one `std::thread`
  * per call: a mapper batch of a handful of evaluations paid several
  * thread create/join round-trips — hundreds of microseconds against a
- * few microseconds of useful work — and every freshly spawned worker
- * started with a cold thread-local scratch arena, so the hot path
- * fought the system allocator on every batch. Under that regime,
- * batched throughput *fell* as threads were added (see
+ * few microseconds of useful work. Under that regime, batched
+ * throughput *fell* as threads were added (see
  * bench/baselines/BENCH_engine.json history).
  *
  * `ThreadPool` starts its workers once and reuses them:
  *
  *  - **Persistent workers.** `ThreadPool::global()` lazily starts
- *    `hardwareThreads() - 1` helper threads that live for the process.
- *    Each worker keeps its `evalScratchArena()` warm across calls, so
- *    repeated batches allocate scratch without touching malloc.
+ *    `hardwareThreads() - 1` helper threads that live for the process,
+ *    so repeated batches pay no thread creation or join.
  *  - **Chunked index claiming.** A parallel-for claims contiguous
  *    index ranges via one atomic fetch-add per *chunk* (grain derived
  *    from the item count and participant count), not one per item.
@@ -121,10 +118,9 @@ class IndexBody
  * from inside a region body) runs inline on its caller.
  *
  * Most code should use the free `parallelFor` helper, which shares
- * the process-wide `global()` pool (and with it every worker's warm
- * scratch arena). Construct a private pool only to control the helper
- * count explicitly (tests do this to exercise real concurrency on
- * single-core hosts).
+ * the process-wide `global()` pool. Construct a private pool only to
+ * control the helper count explicitly (tests do this to exercise real
+ * concurrency on single-core hosts).
  */
 class ThreadPool
 {

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 
 namespace sparseloop {
@@ -97,23 +96,18 @@ NestAnalysis::analyze() const
     out.levels.assign(S, T);
     out.instances.resize(S);
 
-    ArenaScope scope(evalScratchArena());
-    Arena &arena = scope.arena();
-
     // Dim-tile table: row l holds dimTilesAtLevel(l) for l in [0, S],
     // built by one suffix sweep instead of S independent rescans. The
     // products accumulate in a different order than dimTilesAtLevel's,
     // but integer multiplication is order-independent, so the values
-    // (and everything derived from them) are identical.
-    std::int64_t *tiles = arena.allocArray<std::int64_t>(
-        static_cast<std::size_t>(S + 1) * D);
-    for (int d = 0; d < D; ++d) {
-        tiles[static_cast<std::size_t>(S) * D + d] = 1;
-    }
+    // (and everything derived from them) are identical. Every design
+    // in the zoo has (S+1)*D <= 28, so the table stays inline.
+    SmallVector<std::int64_t, 32> tiles(
+        static_cast<std::size_t>(S + 1) * D, 1);
     for (int l = S; l-- > 0;) {
-        std::int64_t *row = tiles + static_cast<std::size_t>(l) * D;
-        const std::int64_t *below =
-            tiles + static_cast<std::size_t>(l + 1) * D;
+        std::int64_t *row =
+            tiles.data() + static_cast<std::size_t>(l) * D;
+        const std::int64_t *below = row + D;
         std::copy(below, below + D, row);
         for (const auto &loop : mapping_.level(l).loops) {
             row[loop.dim] *= loop.bound;
@@ -138,7 +132,7 @@ NestAnalysis::analyze() const
 
     for (int l = 0; l < S; ++l) {
         const std::int64_t *row =
-            tiles + static_cast<std::size_t>(l) * D;
+            tiles.data() + static_cast<std::size_t>(l) * D;
         TensorLevelDense *level = out.levels[l];
         for (int t = 0; t < T; ++t) {
             auto &rec = level[t];

@@ -171,7 +171,6 @@ struct Encoder
 EncodedTensor
 encodeTensor(const SparseTensor &tensor, const TensorFormat &format)
 {
-    SL_ASSERT(format.rankCount() >= 1, "format without ranks");
     const int fr = static_cast<int>(format.rankCount());
     const int tr = static_cast<int>(tensor.rankCount());
 

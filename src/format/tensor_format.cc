@@ -33,40 +33,6 @@ TensorFormat::anyCompressed() const
                        [](const RankFormat &r) { return r.compressed(); });
 }
 
-std::vector<std::int64_t>
-TensorFormat::flattenExtents(
-        const std::vector<std::int64_t> &tensor_extents) const
-{
-    return flattenExtents(tensor_extents.data(), tensor_extents.size());
-}
-
-std::vector<std::int64_t>
-TensorFormat::flattenExtents(const std::int64_t *tensor_extents,
-                             std::size_t count) const
-{
-    std::size_t fr = ranks_.size();
-    SL_ASSERT(fr >= 1, "format without ranks");
-    std::vector<std::int64_t> out(fr, 1);
-    std::size_t tr = count;
-    if (tr <= fr) {
-        // Pad missing outer ranks with extent 1.
-        for (std::size_t i = 0; i < tr; ++i) {
-            out[fr - tr + i] = tensor_extents[i];
-        }
-        return out;
-    }
-    // Flatten the extra inner tensor ranks into the last format rank.
-    for (std::size_t i = 0; i + 1 < fr; ++i) {
-        out[i] = tensor_extents[i];
-    }
-    std::int64_t flat = 1;
-    for (std::size_t i = fr - 1; i < tr; ++i) {
-        flat *= tensor_extents[i];
-    }
-    out[fr - 1] = flat;
-    return out;
-}
-
 TileFormatStats
 TensorFormat::tileStats(const DensityModel &model,
                         const std::vector<std::int64_t> &rank_extents,

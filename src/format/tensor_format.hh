@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "density/density_model.hh"
 #include "format/rank_format.hh"
 
@@ -124,34 +125,40 @@ class TensorFormat
     /**
      * Adapt per-tensor-rank tile extents (outer first) to this format's
      * rank count: extra inner tensor ranks are flattened into the
-     * format's last rank; missing outer ranks are padded with 1.
+     * format's last rank; missing outer ranks are padded with 1. A
+     * format without ranks is a user error (FatalError).
      */
     std::vector<std::int64_t>
-    flattenExtents(const std::vector<std::int64_t> &tensor_extents) const;
-
-    /** Raw-buffer variant for callers whose extents live in inline
-     *  storage (the engine hot path); identical results. */
-    std::vector<std::int64_t>
-    flattenExtents(const std::int64_t *tensor_extents,
-                   std::size_t count) const;
+    flattenExtents(const std::vector<std::int64_t> &tensor_extents) const
+    {
+        std::vector<std::int64_t> out;
+        flattenExtentsInto(tensor_extents.data(), tensor_extents.size(),
+                           out);
+        return out;
+    }
 
     /**
-     * Allocation-free flattenExtents: fills @p out (any vector-like
-     * type with assign/operator[]) instead of returning a fresh
-     * std::vector. Identical arithmetic to flattenExtents().
+     * flattenExtents() into caller-owned storage: fills @p out (any
+     * vector-like type with assign/operator[]), so the engine hot path
+     * keeps the extents inline.
      */
     template <class Vec>
     void flattenExtentsInto(const std::int64_t *tensor_extents,
                             std::size_t count, Vec &out) const
     {
         std::size_t fr = ranks_.size();
+        if (fr == 0) {
+            SL_FATAL("tensor format has no ranks");
+        }
         out.assign(fr, 1);
         if (count <= fr) {
+            // Pad missing outer ranks with extent 1.
             for (std::size_t i = 0; i < count; ++i) {
                 out[fr - count + i] = tensor_extents[i];
             }
             return;
         }
+        // Flatten the extra inner tensor ranks into the last format rank.
         for (std::size_t i = 0; i + 1 < fr; ++i) {
             out[i] = tensor_extents[i];
         }

@@ -10,8 +10,8 @@
 #include <sstream>
 #include <utility>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/small_vector.hh"
 
 namespace sparseloop {
 
@@ -80,10 +80,9 @@ MicroArchModel::evaluate(SparseTraffic sparse_in, DenseTraffic dense_in,
 
     // Per-(level, tensor) block-inflation factors, computed once in
     // the cycles pass and reused by the energy pass (the two passes
-    // used to recompute the identical value).
-    ArenaScope scope(evalScratchArena());
-    double *inflate = scope.arena().allocArray<double>(
-        static_cast<std::size_t>(S) * T);
+    // used to recompute the identical value). Every design in the zoo
+    // has S*T <= 9 and S <= 3, so this scratch stays inline.
+    SmallVector<double, 12> inflate(static_cast<std::size_t>(S) * T);
 
     // ---- Capacity / validity ------------------------------------------
     for (int l = 0; l < S; ++l) {
@@ -114,7 +113,7 @@ MicroArchModel::evaluate(SparseTraffic sparse_in, DenseTraffic dense_in,
             sparse.compute_instances));
     res.compute_cycles = sparse.computes.occupying() / inst_d;
     double latency = res.compute_cycles;
-    double *level_words = scope.arena().allocArray<double>(S);
+    SmallVector<double, 4> level_words(static_cast<std::size_t>(S));
     for (int l = 0; l < S; ++l) {
         std::int64_t block = arch_.level(l).block_size_words;
         double words = 0.0;

@@ -9,7 +9,6 @@
 
 #include <random>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "density/actual_data.hh"
 #include "density/hypergeometric.hh"
@@ -45,6 +44,10 @@ SparseAnalysis::SparseAnalysis(const Workload &workload,
         if (f.tensor < 0 || f.tensor >= workload_.tensorCount() ||
             f.level < 0 || f.level >= arch_.levelCount()) {
             SL_FATAL("format SAF references unknown tensor or level");
+        }
+        if (f.format.empty()) {
+            SL_FATAL("format SAF for tensor ", f.tensor, " at level ",
+                     f.level, " has no ranks");
         }
     }
 }
@@ -272,10 +275,9 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     };
 
     // First-match format lookup grid (same semantics as formatAt).
-    ArenaScope scope(evalScratchArena());
-    const TensorFormat **fmt_grid =
-        scope.arena().allocArray<const TensorFormat *>(
-            static_cast<std::size_t>(S) * T);
+    // Every design in the zoo has S*T <= 9, so the grid stays inline.
+    SmallVector<const TensorFormat *, 12> fmt_grid(
+        static_cast<std::size_t>(S) * T, nullptr);
     for (const auto &f : safs_.formats) {
         const TensorFormat *&slot =
             fmt_grid[static_cast<std::size_t>(f.level) * T + f.tensor];

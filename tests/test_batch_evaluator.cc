@@ -300,37 +300,45 @@ TEST(BatchEvaluator, MalformedMappingIsInvalidWithoutRetry)
 
 TEST(BatchEvaluator, OutOfRangeLeaderIsInvalidAtEveryPoint)
 {
-    // A SAF spec whose leader is outside the tensor list fails Step 2
-    // on every mapping; each point carries the engine's message.
+    // A SAF spec whose leader is outside the tensor list, or whose
+    // format has no ranks, fails Step 2 on every mapping; each point
+    // carries the engine's message.
     Architecture arch = batchArch();
     Sweep sweep(arch);
-    SafSpec bad;
-    bad.addSkip(1, sweep.workload.tensorIndex("B"), {7});
+    SafSpec bad_leader;
+    bad_leader.addSkip(1, sweep.workload.tensorIndex("B"), {7});
+    SafSpec rankless;
+    rankless.addFormat(0, sweep.workload.tensorIndex("A"),
+                       TensorFormat());
     Engine engine(arch);
-    std::string expected;
-    try {
-        engine.evaluate(sweep.workload, sweep.mappings[0], bad);
-    } catch (const FatalError &err) {
-        expected = err.what();
-    }
-    ASSERT_NE(expected.find("leader tensor 7"), std::string::npos)
-        << expected;
     std::vector<const Mapping *> mappings;
     for (const Mapping &m : sweep.mappings) {
         mappings.push_back(&m);
     }
-    for (int threads : {1, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        BatchEvaluatorOptions opts;
-        opts.num_threads = threads;
-        BatchEvaluator evaluator(engine, nullptr, opts);
-        std::vector<EvalResult> results =
-            evaluator.evaluateMappings(sweep.workload, mappings, bad);
-        ASSERT_EQ(results.size(), mappings.size());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            EXPECT_FALSE(results[i].valid) << "point " << i;
-            EXPECT_EQ(results[i].invalid_reason, expected)
-                << "point " << i;
+    for (const auto &[bad, named] :
+         {std::make_pair(bad_leader, std::string("leader tensor 7")),
+          std::make_pair(rankless, std::string("has no ranks"))}) {
+        SCOPED_TRACE(named);
+        std::string expected;
+        try {
+            engine.evaluate(sweep.workload, sweep.mappings[0], bad);
+        } catch (const FatalError &err) {
+            expected = err.what();
+        }
+        ASSERT_NE(expected.find(named), std::string::npos) << expected;
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            BatchEvaluatorOptions opts;
+            opts.num_threads = threads;
+            BatchEvaluator evaluator(engine, nullptr, opts);
+            std::vector<EvalResult> results =
+                evaluator.evaluateMappings(sweep.workload, mappings, bad);
+            ASSERT_EQ(results.size(), mappings.size());
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                EXPECT_FALSE(results[i].valid) << "point " << i;
+                EXPECT_EQ(results[i].invalid_reason, expected)
+                    << "point " << i;
+            }
         }
     }
 }

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the hot-path containers introduced by the engine
- * speed campaign: SmallVector (inline-storage vector), Arena
- * (bump-pointer scratch with nested mark/release), and FlatMatrix
+ * speed campaign: SmallVector (inline-storage vector, which also holds
+ * the modeling steps' per-evaluation scratch) and FlatMatrix
  * (contiguous [level][tensor] grid). These run under the ASan+UBSan
- * CI job as well — growth past the inline buffer, scope reuse, and
- * row-pointer indexing are exactly the places a lifetime bug would
- * hide.
+ * CI job as well — growth past the inline buffer and row-pointer
+ * indexing are exactly the places a lifetime bug would hide.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <string>
 #include <utility>
 
-#include "common/arena.hh"
 #include "common/flat_matrix.hh"
 #include "common/small_vector.hh"
 
@@ -89,80 +87,6 @@ TEST(SmallVector, ReuseAfterClearKeepsWorking)
         EXPECT_EQ(v.size(), static_cast<std::size_t>((round % 7) + 1));
         EXPECT_EQ(v.front(), round);
     }
-}
-
-TEST(Arena, GrowsAndZeroInitializes)
-{
-    Arena arena(64);
-    double *d = arena.allocArray<double>(16);  // 128B > first block
-    ASSERT_NE(d, nullptr);
-    for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(d[i], 0.0);
-    }
-    EXPECT_GE(arena.capacityBytes(), 16 * sizeof(double));
-    std::int64_t *q = arena.allocArray<std::int64_t>(100);
-    ASSERT_NE(q, nullptr);
-    q[99] = 42;
-    EXPECT_EQ(q[99], 42);
-    EXPECT_EQ(arena.allocArray<int>(0), nullptr);
-}
-
-TEST(Arena, MarkReleaseReusesMemoryWithoutGrowth)
-{
-    Arena arena(1 << 12);
-    // Warm up.
-    {
-        ArenaScope scope(arena);
-        scope.arena().allocArray<double>(64);
-        scope.arena().allocArray<std::int64_t>(64);
-    }
-    const std::size_t warm_capacity = arena.capacityBytes();
-    const std::size_t warm_blocks = arena.blockCount();
-    // Steady state: repeated scopes of the same size must not grow
-    // the arena — this is the whole point of the scratch reuse.
-    for (int round = 0; round < 1000; ++round) {
-        ArenaScope scope(arena);
-        double *a = scope.arena().allocArray<double>(64);
-        std::int64_t *b = scope.arena().allocArray<std::int64_t>(64);
-        a[63] = static_cast<double>(round);
-        b[0] = round;
-        EXPECT_EQ(a[63], static_cast<double>(round));
-    }
-    EXPECT_EQ(arena.capacityBytes(), warm_capacity);
-    EXPECT_EQ(arena.blockCount(), warm_blocks);
-    EXPECT_EQ(arena.allocatedBytes(), 0u);
-}
-
-TEST(Arena, NestedScopesReleaseInOrder)
-{
-    Arena arena(1 << 10);
-    ArenaScope outer(arena);
-    int *a = arena.allocArray<int>(8);
-    a[0] = 1;
-    std::size_t after_outer = arena.allocatedBytes();
-    {
-        ArenaScope inner(arena);
-        int *b = arena.allocArray<int>(1 << 10);  // forces a new block
-        b[0] = 2;
-        EXPECT_GT(arena.allocatedBytes(), after_outer);
-    }
-    // Inner scope released; outer allocation still intact.
-    EXPECT_EQ(arena.allocatedBytes(), after_outer);
-    EXPECT_EQ(a[0], 1);
-    // New allocation after release reuses the retained block.
-    int *c = arena.allocArray<int>(16);
-    c[15] = 3;
-    EXPECT_EQ(c[15], 3);
-}
-
-TEST(Arena, PerThreadScratchIsWarmAndIndependent)
-{
-    Arena &arena = evalScratchArena();
-    ArenaScope scope(arena);
-    double *p = scope.arena().allocArray<double>(32);
-    p[31] = 7.5;
-    EXPECT_EQ(p[31], 7.5);
-    EXPECT_EQ(&evalScratchArena(), &arena);  // same thread, same arena
 }
 
 TEST(FlatMatrix, AssignIndexAndRowPointers)

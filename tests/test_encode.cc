@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "density/actual_data.hh"
 #include "format/encode.hh"
@@ -33,6 +34,12 @@ TEST(Encode, UncompressedStoresEverything)
     EXPECT_EQ(enc.data_words, 64);
     EXPECT_EQ(enc.metadataBits(), 0);
     EXPECT_NEAR(enc.compressionRate(64, 16), 1.0, 1e-12);
+}
+
+TEST(Encode, RanklessFormatIsFatal)
+{
+    auto t = generateUniform({8, 8}, 0.3, 1);
+    EXPECT_THROW(encodeTensor(t, TensorFormat()), FatalError);
 }
 
 TEST(Encode, BitmaskExact)

@@ -2,7 +2,7 @@
  * @file
  * The differential-oracle test layer of the engine speed campaign.
  *
- * The production `Engine` carries hot-path optimizations — arena
+ * The production `Engine` carries hot-path optimizations — inline
  * scratch, flat traffic grids, hoisted per-SAF elimination
  * probabilities, fused block-inflation passes, moved-in traffic — and
  * every one of them must be *provably invisible*. The oracle is
@@ -14,8 +14,10 @@
  * equality on every field including the retained traffic).
  *
  * Also covered here:
+ *  - deep hierarchies: tuples whose shapes outgrow the inline scratch
+ *    of Steps 1-3 match the oracle too;
  *  - determinism: re-evaluating the same tuple yields the identical
- *    result (no hidden state leaks out of the scratch arena);
+ *    result (no hidden state leaks out of the scratch buffers);
  *  - thread invariance: BatchEvaluator at 1, 4, and 8 workers returns
  *    results bit-identical to sequential uncached evaluation;
  *  - refsim cross-check: on seeded randomized SpMSpM instances the
@@ -29,8 +31,10 @@
 
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "density/actual_data.hh"
 #include "density/hypergeometric.hh"
@@ -358,7 +362,7 @@ TEST_P(EngineDifferential, MatchesNaiveReferenceBitForBit)
         << ref.cycles << " energy " << ref.energy_pj;
 }
 
-/** Re-evaluation determinism: the scratch arena and hoisted tables
+/** Re-evaluation determinism: the scratch buffers and hoisted tables
  *  leak no state between evaluations. */
 TEST_P(EngineDifferential, DeterministicAcrossRepeatedEvaluations)
 {
@@ -401,9 +405,110 @@ TEST_P(EngineDifferentialStacked, MatchesNaiveReferenceBitForBit)
 INSTANTIATE_TEST_SUITE_P(Stacked, EngineDifferentialStacked,
                          ::testing::Range(0, 48));
 
+/**
+ * A five-level hierarchy under a seven-dimension conv. Its shapes pass
+ * every inline capacity of the Steps 1-3 scratch, so the engine runs
+ * the heap-spill path: (S+1)*D = 42 > 32 dim-tile entries, S*T = 15 >
+ * 12 format-grid and block-inflation entries, and S = 5 > 4 per-level
+ * words.
+ */
+Tuple
+makeDeepTuple(int index)
+{
+    std::mt19937_64 rng(0xDEE9ull * 2654435761u + index);
+    std::uniform_real_distribution<double> dens(0.05, 0.95);
+    std::uniform_int_distribution<int> block(0, 2);
+    std::uniform_int_distribution<int> bw(1, 4);
+    ConvLayerShape shape;
+    shape.name = "diff-deep-conv";
+    shape.k = 8;
+    shape.c = 4;
+    shape.p = 6;
+    shape.q = 6;
+    shape.r = 3;
+    shape.s = 3;
+    Workload w = makeConv(shape);
+    for (int t = 0; t < w.tensorCount(); ++t) {
+        if (!w.tensors()[t].is_output) {
+            w.setDensity(t, makeUniformDensity(w.tensorVolume(t),
+                                               dens(rng)));
+        }
+    }
+    std::vector<StorageLevelSpec> specs;
+    StorageLevelSpec dram;
+    dram.name = "DRAM";
+    dram.storage_class = StorageClass::DRAM;
+    dram.block_size_words = 1LL << block(rng);
+    specs.push_back(dram);
+    for (int l = 1; l < 5; ++l) {
+        StorageLevelSpec buf;
+        buf.name = "L" + std::to_string(l);
+        buf.capacity_words = 1 << (22 - 2 * l);
+        buf.bandwidth_words_per_cycle = 1 << bw(rng);
+        buf.fanout = l == 2 ? 2 : 1;
+        buf.block_size_words = 1LL << block(rng);
+        specs.push_back(buf);
+    }
+    Architecture arch("diff-deep", specs, ComputeSpec{});
+    MappingBuilder b(w, arch);
+    b.temporal(1, "Q", 6)
+        .spatial(2, "P", 2)
+        .temporal(2, "P", 3)
+        .temporal(3, "C", 4)
+        .temporal(4, "R", 3)
+        .temporal(4, "S", 3);
+    if (index % 2 == 1) {
+        b.keepOnly(3, {"Inputs", "Weights"});
+    }
+    Mapping mapping = b.buildComplete();
+    SafSpec safs = randomSafs(w, arch, rng);
+    return Tuple{std::move(w), std::move(arch), std::move(mapping),
+                 std::move(safs)};
+}
+
+class EngineDifferentialDeep : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(EngineDifferentialDeep, MatchesNaiveReferenceBitForBit)
+{
+    Tuple tup = makeDeepTuple(GetParam());
+    ASSERT_EQ(tup.arch.levelCount(), 5);
+    ASSERT_EQ(tup.workload.dimCount(), 7);
+    ASSERT_EQ(tup.workload.tensorCount(), 3);
+    Engine engine(tup.arch);
+    EvalResult opt =
+        engine.evaluate(tup.workload, tup.mapping, tup.safs);
+    EvalResult ref = refmodel::referenceEvaluate(
+        tup.workload, tup.arch, tup.mapping, tup.safs);
+    ASSERT_TRUE(bitIdentical(opt, ref))
+        << "deep tuple " << GetParam() << " diverged: opt cycles "
+        << opt.cycles << " energy " << opt.energy_pj << " vs ref cycles "
+        << ref.cycles << " energy " << ref.energy_pj;
+    EvalResult again =
+        engine.evaluate(tup.workload, tup.mapping, tup.safs);
+    ASSERT_TRUE(bitIdentical(opt, again));
+}
+
+INSTANTIATE_TEST_SUITE_P(Deep, EngineDifferentialDeep,
+                         ::testing::Range(0, 8));
+
+/** A format SAF whose format has no ranks fails validation in both
+ *  engines with a FatalError. */
+TEST(EngineDifferentialMalformed, RanklessFormatIsFatalInBoth)
+{
+    Tuple tup = makeTuple(0);
+    tup.safs.addFormat(0, 0, TensorFormat());
+    Engine engine(tup.arch);
+    EXPECT_THROW(engine.evaluate(tup.workload, tup.mapping, tup.safs),
+                 FatalError);
+    EXPECT_THROW(refmodel::referenceEvaluate(tup.workload, tup.arch,
+                                             tup.mapping, tup.safs),
+                 FatalError);
+}
+
 /** BatchEvaluator fan-out must stay bit-identical to sequential
- *  uncached evaluation at every worker count (per-thread arenas must
- *  not interact). */
+ *  uncached evaluation at every worker count (workers share no
+ *  scratch). */
 TEST(EngineDifferentialThreads, BatchResultsIdenticalAt148Threads)
 {
     // A batch over one workload/SAF set with many mappings, plus its

@@ -9,7 +9,9 @@
 
 #include <cmath>
 
+#include "common/logging.hh"
 #include "common/mathutil.hh"
+#include "common/small_vector.hh"
 #include "density/actual_data.hh"
 #include "density/hypergeometric.hh"
 #include "format/rank_format.hh"
@@ -106,6 +108,17 @@ TEST(TensorFormat, FlattenExtentsPadsAndFlattens)
     // 1D tensor tile -> padded outer rank.
     auto pad = csr.flattenExtents({7});
     EXPECT_EQ(pad, (std::vector<std::int64_t>{1, 7}));
+}
+
+TEST(TensorFormat, FlattenExtentsRejectsRanklessFormat)
+{
+    // A format without ranks has no rank to flatten into: a user
+    // error, not a write before the extent buffer.
+    TensorFormat none;
+    EXPECT_THROW(none.flattenExtents({4, 4}), FatalError);
+    TileExtents out;
+    const std::int64_t extents[] = {4, 4};
+    EXPECT_THROW(none.flattenExtentsInto(extents, 2, out), FatalError);
 }
 
 TEST(TensorFormat, UncompressedTileStats)

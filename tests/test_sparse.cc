@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/logging.hh"
 #include "dataflow/dense_traffic.hh"
 #include "density/hypergeometric.hh"
@@ -111,14 +115,22 @@ TEST(LeaderTile, RejectsOutOfRangeLeader)
     // A leader index outside the tensor list is a malformed spec: it
     // fails with a FatalError naming the leader, both when the Step-2
     // analysis is built and through the engine, instead of reading
-    // past the tensor list.
+    // past the tensor list. A format SAF whose format has no ranks
+    // fails the same way instead of writing before its extent buffer.
     Scenario s(true);
     Engine engine(s.arch);
+    std::vector<std::pair<SafSpec, std::string>> cases;
     for (int leader : {7, -1}) {
-        SCOPED_TRACE("leader=" + std::to_string(leader));
         SafSpec safs;
         safs.addSkip(1, s.B, {leader});
-        const std::string named = "leader tensor " + std::to_string(leader);
+        cases.emplace_back(safs,
+                           "leader tensor " + std::to_string(leader));
+    }
+    SafSpec rankless;
+    rankless.addFormat(0, s.A, TensorFormat());
+    cases.emplace_back(rankless, "has no ranks");
+    for (const auto &[safs, named] : cases) {
+        SCOPED_TRACE(named);
         try {
             SparseAnalysis an(s.w, s.arch, s.mapping, safs);
             FAIL() << "SparseAnalysis accepted the spec";
