@@ -108,10 +108,6 @@ TEST(TensorFormat, FlattenExtentsPadsAndFlattens)
     // 1D tensor tile -> padded outer rank.
     auto pad = csr.flattenExtents({7});
     EXPECT_EQ(pad, (std::vector<std::int64_t>{1, 7}));
-}
-
-TEST(TensorFormat, FlattenExtentsRejectsRanklessFormat)
-{
     // A format without ranks has no rank to flatten into: a user
     // error, not a write before the extent buffer.
     TensorFormat none;
