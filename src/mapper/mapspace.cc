@@ -48,8 +48,9 @@ countBits(std::uint64_t mask)
     return n;
 }
 
+template <typename Vec>
 bool
-contains(const std::vector<int> &values, int value)
+contains(const Vec &values, int value)
 {
     return std::find(values.begin(), values.end(), value) !=
            values.end();
@@ -99,6 +100,40 @@ enumerateSplits(const std::vector<int> &allowed, std::size_t pos,
         enumerateSplits(allowed, pos + 1, remaining / f, current, out);
     }
     current[static_cast<std::size_t>(allowed[pos])] = 1;
+}
+
+/**
+ * Append to @p out, concatenated in lexicographic order, the
+ * permutations of the ascending @p dims that extend @p perm (whose
+ * entries are the set bits of @p used, as positions in @p dims) and
+ * keep every adjacent pair of same-class dimensions ascending. A
+ * prefix is cut at its first descending same-class pair, so only
+ * canonical prefixes are visited: the output equals filtering
+ * `std::next_permutation`'s sequence, at a fraction of its cost.
+ */
+void
+appendCanonicalOrders(const std::vector<int> &dims,
+                      const std::vector<int> &dim_class, std::uint64_t used,
+                      std::vector<int> &perm, std::vector<int> &out)
+{
+    if (perm.size() == dims.size()) {
+        out.insert(out.end(), perm.begin(), perm.end());
+        return;
+    }
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+        const int d = dims[i];
+        if (((used >> i) & 1u) != 0 ||
+            (!perm.empty() &&
+             dim_class[static_cast<std::size_t>(perm.back())] ==
+                 dim_class[static_cast<std::size_t>(d)] &&
+             perm.back() > d)) {
+            continue;
+        }
+        perm.push_back(d);
+        appendCanonicalOrders(dims, dim_class, used | (std::uint64_t{1} << i),
+                              perm, out);
+        perm.pop_back();
+    }
 }
 
 /** Append one level's loops: @p order outer first, @p spatial_dim (or
@@ -261,25 +296,74 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
     // otherwise.
     const std::int64_t tilings = tilingCount();
     if (pointEncodable() && tilings <= kMaxTilings) {
+        // Block::counts reads a tiling only through, per level, the
+        // dimensions tiled there and those that are spatial
+        // candidates. So give each split a signature (the levels where
+        // its factor is > 1, and those where it is a spatial
+        // candidate), number each dimension's distinct signatures, and
+        // count each combination of signature ids once. The ids are
+        // pre-scaled into one mixed-radix memo index, dimension 0
+        // fastest; there are at most `tilings` combinations.
+        std::vector<std::vector<std::int64_t>> sig_index(
+            static_cast<std::size_t>(D));
+        std::int64_t combos = 1;
+        for (int d = 0; d < D; ++d) {
+            std::vector<std::uint64_t> sigs;
+            for (const auto &split : splits_[static_cast<std::size_t>(d)]) {
+                std::uint64_t sig = 0;
+                for (int l = 0; l < S; ++l) {
+                    std::int64_t f = split[static_cast<std::size_t>(l)];
+                    if (f > 1) {
+                        sig |= std::uint64_t{1} << static_cast<unsigned>(l);
+                    }
+                    if (spatialCandidate(l, d, f)) {
+                        sig |= std::uint64_t{1}
+                               << static_cast<unsigned>(kMaxLevels + l);
+                    }
+                }
+                auto it = std::find(sigs.begin(), sigs.end(), sig);
+                sig_index[static_cast<std::size_t>(d)].push_back(
+                    static_cast<std::int64_t>(it - sigs.begin()) * combos);
+                if (it == sigs.end()) {
+                    sigs.push_back(sig);
+                }
+            }
+            combos *= static_cast<std::int64_t>(sigs.size());
+        }
+        std::vector<std::optional<Block::Counts>> memo(
+            static_cast<std::size_t>(combos));
+
+        MapSpacePruneStats stats;
+        stats.exact = true;
         std::int64_t total = 0;
         bool saturated = false;
-        prune_stats_ = {};
-        prune_stats_.exact = true;
         tiling_prefix_.reserve(static_cast<std::size_t>(tilings) + 1);
         tiling_prefix_.push_back(0);
+        // Odometer over the split digits, dimension 0 fastest: the
+        // `tilingAt` order, so every sum below accumulates in it.
+        std::vector<std::size_t> tiling(static_cast<std::size_t>(D), 0);
         for (std::int64_t t = 0; t < tilings; ++t) {
-            Factors factors = tilingFactors(tilingAt(t));
-            for (int l = 0; l < S; ++l) {
-                ensureCanonical(l, factors[static_cast<std::size_t>(l)]);
+            std::int64_t key = 0;
+            for (int d = 0; d < D; ++d) {
+                key += sig_index[static_cast<std::size_t>(d)]
+                                [tiling[static_cast<std::size_t>(d)]];
             }
-            Block::Counts c = Block(*this, factors).counts();
+            auto &slot = memo[static_cast<std::size_t>(key)];
+            if (!slot) {
+                Factors factors = tilingFactors(tiling);
+                for (int l = 0; l < S; ++l) {
+                    ensureCanonical(l, factors[static_cast<std::size_t>(l)]);
+                }
+                slot = Block(*this, factors).counts();
+            }
+            const Block::Counts &c = *slot;
             bool cap_pruned = options_.prune_capacity_tilings &&
-                              capacityPruned(factors);
-            prune_stats_.raw_points += c.raw;
-            prune_stats_.pruned_symmetry += c.raw - c.symmetry;
-            prune_stats_.pruned_dominated_keeps += c.symmetry - c.pruned;
+                              capacityPruned(tiling);
+            stats.raw_points += c.raw;
+            stats.pruned_symmetry += c.raw - c.symmetry;
+            stats.pruned_dominated_keeps += c.symmetry - c.pruned;
             if (cap_pruned) {
-                prune_stats_.pruned_capacity_tilings += c.pruned;
+                stats.pruned_capacity_tilings += c.pruned;
             }
             std::int64_t block = cap_pruned ? 0 : c.size;
             // int64 saturation stops the enumeration prefix sums but
@@ -288,15 +372,26 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
                 total > std::numeric_limits<std::int64_t>::max() - block;
             if (!saturated) {
                 total += block;
-                tiling_prefix_.push_back(total);
+                // Past the indexed-enumeration limit the space cannot
+                // be enumerable, and only `mappingAt` reads the sums.
+                if (total <= kMaxEnumerablePoints) {
+                    tiling_prefix_.push_back(total);
+                }
+            }
+            for (std::size_t d = 0;
+                 d < tiling.size() && ++tiling[d] == splits_[d].size();
+                 ++d) {
+                tiling[d] = 0;
             }
         }
+        prune_stats_ = stats;
         if (!saturated) {
             size_ = {static_cast<double>(total), true,
                      total <= kMaxEnumerablePoints ? total : -1};
         }
         if (size_.enumerable < 0) {
-            tiling_prefix_.clear();
+            // Release the storage, not just the elements.
+            std::vector<std::int64_t>().swap(tiling_prefix_);
         }
         if (!saturated) {
             return;
@@ -392,11 +487,11 @@ MapSpace::spatialCandidate(int level, int dim, std::int64_t factor) const
     return allowed.empty() || contains(allowed, dim);
 }
 
-std::vector<int>
+MapSpace::DimList
 MapSpace::spatialCandidates(
     int level, const std::vector<std::int64_t> &factors) const
 {
-    std::vector<int> candidates;
+    DimList candidates;
     if (arch_.level(level).fanout <= 1) {
         return candidates;
     }
@@ -472,34 +567,22 @@ MapSpace::ensureCanonical(int level, const std::vector<std::int64_t> &lf)
     if (!canonicalAt(level, mask) || canon_.count(mask) != 0) {
         return;
     }
-    std::vector<int> perm;
-    forTiledDims(level, lf, [&perm](int d) { perm.push_back(d); });
+    std::vector<int> dims;
+    forTiledDims(level, lf, [&dims](int d) { dims.push_back(d); });
     // Canonical = every adjacent pair of same-class dimensions is
     // ascending by dimension id. Each equivalence orbit (orders
     // reachable by commuting same-class neighbors) contains exactly
-    // one such order, so filtering the full permutation list keeps one
-    // traffic-identical representative per orbit. Counting must
-    // enumerate, not divide by multinomials: classes need not form
-    // contiguous runs in an order, so orbits have varying sizes.
-    std::vector<std::vector<int>> orders;
-    do {
-        bool canonical = true;
-        for (std::size_t i = 0; i + 1 < perm.size(); ++i) {
-            if (dim_class_[static_cast<std::size_t>(perm[i])] ==
-                    dim_class_[static_cast<std::size_t>(perm[i + 1])] &&
-                perm[i] > perm[i + 1]) {
-                canonical = false;
-                break;
-            }
-        }
-        if (canonical) {
-            orders.push_back(perm);
-        }
-    } while (std::next_permutation(perm.begin(), perm.end()));
+    // one such order, so keeping only these keeps one traffic-identical
+    // representative per orbit. Counting must enumerate, not divide by
+    // multinomials: classes need not form contiguous runs in an order,
+    // so orbits have varying sizes.
+    std::vector<int> orders;
+    std::vector<int> perm;
+    appendCanonicalOrders(dims, dim_class_, 0, perm, orders);
     canon_.emplace(mask, std::move(orders));
 }
 
-const std::vector<std::vector<int>> &
+const std::vector<int> &
 MapSpace::canonicalOrders(std::uint64_t mask) const
 {
     auto it = canon_.find(mask);
@@ -508,11 +591,11 @@ MapSpace::canonicalOrders(std::uint64_t mask) const
     return it->second;
 }
 
-std::vector<std::uint64_t>
+MapSpace::TensorMasks
 MapSpace::relevantLevelMasks(const Factors &factors) const
 {
     const int T = workload_.tensorCount();
-    std::vector<std::uint64_t> rel(static_cast<std::size_t>(T), 0);
+    TensorMasks rel(static_cast<std::size_t>(T), 0);
     for (int l = 0; l < levelCount(); ++l) {
         forTiledDims(l, factors[static_cast<std::size_t>(l)], [&](int d) {
             for (int t = 0; t < T; ++t) {
@@ -526,7 +609,7 @@ MapSpace::relevantLevelMasks(const Factors &factors) const
     return rel;
 }
 
-std::vector<std::uint32_t>
+MapSpace::KeepCombos
 MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
 {
     const int S = levelCount();
@@ -545,7 +628,7 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
         return std::uint64_t{1} << static_cast<unsigned>(
                    keep_free_levels_[static_cast<std::size_t>(i)]);
     };
-    std::vector<std::uint32_t> combos;
+    KeepCombos combos;
     combos.reserve(std::size_t{1} << F);
     for (std::uint32_t bits = 0;
          bits < (1u << static_cast<unsigned>(F)); ++bits) {
@@ -577,19 +660,21 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
 }
 
 bool
-MapSpace::capacityPruned(const Factors &factors) const
+MapSpace::capacityPruned(const std::vector<std::size_t> &tiling) const
 {
     const int S = levelCount();
     const int D = dimCount();
     const int T = workload_.tensorCount();
     // Per-dimension tile at level l: the product of factors at l and
     // below, accumulated innermost level first.
-    std::vector<std::int64_t> tiles(static_cast<std::size_t>(D), 1);
+    SmallVector<std::int64_t, 8> tiles(static_cast<std::size_t>(D), 1);
+    TileExtents extents;
     for (int l = S - 1; l >= 0; --l) {
         for (int d = 0; d < D; ++d) {
             tiles[static_cast<std::size_t>(d)] *=
-                factors[static_cast<std::size_t>(l)]
-                       [static_cast<std::size_t>(d)];
+                splits_[static_cast<std::size_t>(d)]
+                       [tiling[static_cast<std::size_t>(d)]]
+                       [static_cast<std::size_t>(l)];
         }
         double cap = arch_.level(l).capacity_words;
         if (std::isinf(cap)) {
@@ -601,8 +686,8 @@ MapSpace::capacityPruned(const Factors &factors) const
         double occupancy = 0.0;
         for (int t = 0; t < T; ++t) {
             if (alwaysKept(l, t)) {
-                occupancy += static_cast<double>(
-                    volume(workload_.tensorTileExtents(t, tiles)));
+                workload_.tensorTileExtentsInto(t, tiles.data(), extents);
+                occupancy += static_cast<double>(volume(extents));
             }
         }
         if (occupancy > cap) {
@@ -629,8 +714,11 @@ std::int64_t
 MapSpace::Block::orders(int level, std::uint64_t mask, bool canonical) const
 {
     if (canonical && space_.canonicalAt(level, mask)) {
-        return static_cast<std::int64_t>(
-            space_.canonicalOrders(mask).size());
+        // The empty set has one (empty) order.
+        const int k = countBits(mask);
+        return k == 0 ? 1
+                      : static_cast<std::int64_t>(
+                            space_.canonicalOrders(mask).size()) / k;
     }
     return space_.orderConstrained(level)
                ? 1
@@ -703,7 +791,11 @@ MapSpace::Block::build(std::int64_t offset) const
             digit(static_cast<std::size_t>(orders(l, mask, true)));
         std::vector<int> order;
         if (space_.canonicalAt(l, mask)) {
-            order = space_.canonicalOrders(mask)[choice];
+            const auto &flat = space_.canonicalOrders(mask);
+            const auto k = static_cast<std::ptrdiff_t>(countBits(mask));
+            auto first =
+                flat.begin() + static_cast<std::ptrdiff_t>(choice) * k;
+            order.assign(first, first + k);
         } else {
             // The choice-th permutation of the level's tiled order (the
             // identity at a constrained level, its only order).

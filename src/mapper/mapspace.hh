@@ -32,15 +32,21 @@
  * coordinates, neighborhoods, and crossover stay on the raw axes so
  * stochastic strategies keep their historical RNG behavior.
  *
- * The IR reports its size (exactly when the space is small enough to
- * enumerate, as a product-form upper bound otherwise) and serves it
- * three ways: `sampleMapping(seed)`, the seeded candidate derivation
- * (RNG-identical to the pre-IR `Mapper` on unconstrained spaces);
- * `mappingAt(index)`, duplicate-free indexed enumeration when
+ * The IR reports its size (exactly when the tiling cross-product is
+ * small enough to walk, as a product-form upper bound otherwise) and
+ * serves it three ways: `sampleMapping(seed)`, the seeded candidate
+ * derivation (RNG-identical to the pre-IR `Mapper` on unconstrained
+ * spaces); `mappingAt(index)`, duplicate-free indexed enumeration when
  * `size().enumerable >= 0`; and `Point` coordinates (`encode`,
  * `materialize`, `neighbors`, `reconcile`, `crossover`,
  * `coarsePoints`, ...) for the neighborhood strategies, when
  * `pointEncodable()`. Each axis rule has one body that all three call.
+ *
+ * The exact size walks every tiling once, but a tiling's per-pass
+ * point counts depend only on which dimensions each level tiles and
+ * which are spatial candidates there. Each distinct such signature is
+ * counted once, so the per-tiling work is a table lookup, the prefix
+ * sum, and (when on) the allocation-free capacity check.
  *
  * The limits are constants: a dimension with more than 2^16 splits
  * keeps its tiling axis implicit (sampling only), more than 2^16
@@ -58,6 +64,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vector.hh"
 #include "mapping/mapping.hh"
 
 namespace sparseloop {
@@ -386,6 +393,13 @@ class MapSpace
   private:
     /** Per level, per dimension: the loop bound of one tiling. */
     using Factors = std::vector<std::vector<std::int64_t>>;
+    /** Small per-tiling lists, inline for the paper's workloads (at
+     *  most 8 dimensions, 4 tensors, 4 free keep levels), so the
+     *  construction walk and the neighbourhood moves stay off the
+     *  heap. */
+    using DimList = SmallVector<int, 8>;
+    using TensorMasks = SmallVector<std::uint64_t, 4>;
+    using KeepCombos = SmallVector<std::uint32_t, 16>;
 
     /**
      * The single-axis moves of one point, counted per family without
@@ -466,7 +480,7 @@ class MapSpace
          *  rather than per level. */
         bool per_tensor_keeps_;
         /** Per tensor: `relevantLevelMasks`, for per-tensor keeps. */
-        std::vector<std::uint64_t> relevant_;
+        TensorMasks relevant_;
     };
 
     /** Whether @p level admits loops over @p dim. */
@@ -487,9 +501,8 @@ class MapSpace
 
     /** Spatial candidates at @p level given per-dim factors there,
      *  in ascending dimension order. */
-    std::vector<int>
-    spatialCandidates(int level,
-                      const std::vector<std::int64_t> &factors) const;
+    DimList spatialCandidates(int level,
+                              const std::vector<std::int64_t> &factors) const;
 
     /** Whether @p t is kept at @p level under every admissible mask. */
     bool alwaysKept(int level, int t) const;
@@ -505,10 +518,11 @@ class MapSpace
     std::uint64_t tiledMask(
         const std::vector<std::int64_t> &level_factors) const;
 
-    /** Canonical loop orders of the dimension set @p mask (prebuilt
-     *  by `ensureCanonical`, so lookups are const and thread-safe). */
-    const std::vector<std::vector<int>> &
-    canonicalOrders(std::uint64_t mask) const;
+    /** Canonical loop orders of the dimension set @p mask,
+     *  concatenated: `countBits(mask)` dimensions each, outer first
+     *  (prebuilt by `ensureCanonical`, so lookups are const and
+     *  thread-safe). */
+    const std::vector<int> &canonicalOrders(std::uint64_t mask) const;
 
     /** Memoize the canonical orders of @p level 's tiled set. */
     void ensureCanonical(int level, const std::vector<std::int64_t> &lf);
@@ -520,17 +534,17 @@ class MapSpace
 
     /** Per-tensor bitmask of levels carrying a factor-> 1 loop over a
      *  dimension relevant to the tensor, for one tiling. */
-    std::vector<std::uint64_t>
-    relevantLevelMasks(const Factors &factors) const;
+    TensorMasks relevantLevelMasks(const Factors &factors) const;
 
     /** Non-dominated free-level keep combinations of tensor @p t
      *  (bit i = kept at `keep_free_levels_[i]`); @p relevant_mask is
      *  its entry of relevantLevelMasks. */
-    std::vector<std::uint32_t>
-    keepCombos(int t, std::uint64_t relevant_mask) const;
+    KeepCombos keepCombos(int t, std::uint64_t relevant_mask) const;
 
-    /** Whether every point of this tiling overflows some capacity. */
-    bool capacityPruned(const Factors &factors) const;
+    /** Whether every point of the tiling at per-dimension split
+     *  indices @p tiling overflows some capacity. Allocation-free up
+     *  to 8 dimensions and 4 ranks per tensor. */
+    bool capacityPruned(const std::vector<std::size_t> &tiling) const;
 
     const Workload &workload_;
     const Architecture &arch_;
@@ -557,10 +571,10 @@ class MapSpace
     /** Levels whose keep axis is open (more than one mask choice),
      *  ascending. */
     std::vector<int> keep_free_levels_;
-    /** Canonical loop orders per tiled-dimension bitmask, prebuilt
-     *  during the construction size loop. */
-    std::unordered_map<std::uint64_t, std::vector<std::vector<int>>>
-        canon_;
+    /** Canonical loop orders per tiled-dimension bitmask, in the
+     *  `canonicalOrders` layout; prebuilt by the construction size
+     *  walk on its memo misses. */
+    std::unordered_map<std::uint64_t, std::vector<int>> canon_;
     MapSpacePruneStats prune_stats_;
 };
 

@@ -17,8 +17,12 @@ Workload::Workload(std::string name, std::vector<WorkloadDim> dims,
     : name_(std::move(name)), dims_(std::move(dims)),
       tensors_(std::move(tensors))
 {
-    SL_ASSERT(!dims_.empty(), "workload without dimensions");
-    SL_ASSERT(!tensors_.empty(), "workload without tensors");
+    if (dims_.empty()) {
+        SL_FATAL("workload ", name_, " has no dimensions");
+    }
+    if (tensors_.empty()) {
+        SL_FATAL("workload ", name_, " has no tensors");
+    }
     for (const auto &d : dims_) {
         if (d.bound < 1) {
             SL_FATAL("dimension ", d.name, " has non-positive bound ",

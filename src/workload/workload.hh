@@ -63,6 +63,11 @@ struct DataSpace
 class Workload
 {
   public:
+    /**
+     * Fatal (SL_FATAL) on no dimensions, no tensors, a bound below 1,
+     * a tensor without a projection or projecting onto an unknown
+     * dimension, or other than exactly one output tensor.
+     */
     Workload(std::string name, std::vector<WorkloadDim> dims,
              std::vector<DataSpace> tensors);
 

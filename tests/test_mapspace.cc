@@ -550,6 +550,15 @@ TEST(MapSpace, OutputsArePinned)
     apps::DesignPoint v2 = apps::buildEyerissV2Pe(conv);
     Workload tiny = tinyConv();
     Architecture three = threeLevelArch();
+    // An L0 pinned to keep every tensor, too small for the full tiny
+    // tile: the capacity pass drops the tilings that overflow it.
+    Architecture small_l0 = threeLevelArch();
+    small_l0.level(2).capacity_words = 8;
+    MapspaceConstraints pin_l0;
+    pin_l0.levels.resize(3);
+    pin_l0.levels[2].keep = {0, 1, 2};
+    MapSpace capacity(tiny, small_l0, pin_l0);
+    ASSERT_GT(capacity.pruneStats().pruned_capacity_tilings, 0.0);
 
     struct Case
     {
@@ -582,6 +591,10 @@ TEST(MapSpace, OutputsArePinned)
          {2592558665379659517ull, 13532137466012100486ull,
           4848921898194062205ull, 720578417687565597ull,
           3130229598674001747ull, 1404374754687209177ull}},
+        {"tiny-conv small-L0 capacity", capacity,
+         {12991422280986925426ull, 357296828696904774ull,
+          8894352061996176054ull, 16977207442988934586ull,
+          12393677210365766907ull, 1404374754687209177ull}},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);

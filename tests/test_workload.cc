@@ -142,6 +142,18 @@ TEST(Workload, UnknownNamesAreFatal)
     EXPECT_THROW(w.tensorIndex("Q"), FatalError);
 }
 
+TEST(Workload, EmptyDimsOrTensorsAreFatal)
+{
+    // A workload with no iteration space or no operands is bad input,
+    // rejected like a bad bound or projection, not an internal bug.
+    DataSpace z;
+    z.name = "Z";
+    z.projection = {{{0, 1}}};
+    z.is_output = true;
+    EXPECT_THROW(Workload("no-dims", {}, {z}), FatalError);
+    EXPECT_THROW(Workload("no-tensors", {{"M", 4}}, {}), FatalError);
+}
+
 TEST(Workload, ConvDensityBinding)
 {
     ConvLayerShape s;
