@@ -528,7 +528,6 @@ evaluateMicroArch(const Architecture &arch, const EnergyModel &energy,
     const int S = arch.levelCount();
     const int T = static_cast<int>(sparse.levels.cols());
     EvalResult res;
-    res.dense = dense;
     res.sparse = sparse;
     res.computes = sparse.computes;
     res.effectual_computes = sparse.effectual_computes;

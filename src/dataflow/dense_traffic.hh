@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "arch/architecture.hh"
+#include "common/fields.hh"
 #include "common/flat_matrix.hh"
 #include "common/small_vector.hh"
 #include "mapping/mapping.hh"
@@ -57,21 +58,26 @@ struct TensorLevelDense
     double acc_reads = 0.0;
     /** Output element-reads leaving this level toward the parent. */
     double drains = 0.0;
-
-    /** Exact (bitwise double) equality; feeds the cache's bit-identity
-     *  contract — keep in sync with the field list above. */
-    bool operator==(const TensorLevelDense &o) const
-    {
-        return kept == o.kept && footprint == o.footprint &&
-               tile_extents == o.tile_extents && fills == o.fills &&
-               reads == o.reads && updates == o.updates &&
-               acc_reads == o.acc_reads && drains == o.drains;
-    }
-    bool operator!=(const TensorLevelDense &o) const
-    {
-        return !(*this == o);
-    }
 };
+
+template <typename A>
+auto
+fields(A &a, TensorLevelDense &t)
+{
+    return a(t.kept, t.footprint, t.tile_extents, t.fills, t.reads,
+             t.updates, t.acc_reads, t.drains);
+}
+
+inline bool
+operator==(const TensorLevelDense &a, const TensorLevelDense &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const TensorLevelDense &a, const TensorLevelDense &b)
+{
+    return !(a == b);
+}
 
 /** Result of the dataflow modeling step. */
 struct DenseTraffic
@@ -89,16 +95,26 @@ struct DenseTraffic
     {
         return levels[level][tensor];
     }
-
-    /** Exact equality over every record (bit-identity contract). */
-    bool operator==(const DenseTraffic &o) const
-    {
-        return computes == o.computes && instances == o.instances &&
-               compute_instances == o.compute_instances &&
-               levels == o.levels;
-    }
-    bool operator!=(const DenseTraffic &o) const { return !(*this == o); }
 };
+
+template <typename A>
+auto
+fields(A &a, DenseTraffic &dense)
+{
+    return a(dense.levels, dense.computes, dense.instances,
+             dense.compute_instances);
+}
+
+inline bool
+operator==(const DenseTraffic &a, const DenseTraffic &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const DenseTraffic &a, const DenseTraffic &b)
+{
+    return !(a == b);
+}
 
 /**
  * Dataflow analysis engine.

@@ -17,7 +17,9 @@ ActualDataDensity::ActualDataDensity(
         std::shared_ptr<const SparseTensor> data)
     : data_(std::move(data))
 {
-    SL_ASSERT(data_ != nullptr, "null tensor");
+    if (data_ == nullptr) {
+        SL_FATAL("actual-data density model needs a tensor, got null");
+    }
 }
 
 double

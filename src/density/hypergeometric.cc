@@ -17,7 +17,10 @@ HypergeometricDensity::HypergeometricDensity(std::int64_t tensor_elems,
                                              double density)
     : tensor_elems_(tensor_elems)
 {
-    SL_ASSERT(tensor_elems_ >= 1, "empty tensor");
+    if (tensor_elems_ < 1) {
+        SL_FATAL("tensor must have at least one element, got ",
+                 tensor_elems_);
+    }
     if (density < 0.0 || density > 1.0) {
         SL_FATAL("density must be within [0, 1], got ", density);
     }

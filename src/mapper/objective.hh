@@ -87,14 +87,26 @@ struct MetricVector
      * metadata overhead via the `EvalResult` helpers.
      */
     static MetricVector of(const EvalResult &eval);
-
-    /** Exact (bitwise double) equality over every metric. */
-    bool operator==(const MetricVector &o) const
-    {
-        return values == o.values;
-    }
-    bool operator!=(const MetricVector &o) const { return !(*this == o); }
 };
+
+template <typename A>
+auto
+fields(A &a, MetricVector &metrics)
+{
+    return a(metrics.values);
+}
+
+/** Exact equality over every metric. */
+inline bool
+operator==(const MetricVector &a, const MetricVector &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const MetricVector &a, const MetricVector &b)
+{
+    return !(a == b);
+}
 
 /**
  * How a search ranks candidates: minimize one metric, and track the

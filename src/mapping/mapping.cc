@@ -13,18 +13,6 @@
 namespace sparseloop {
 
 bool
-operator==(const Loop &a, const Loop &b)
-{
-    return a.dim == b.dim && a.bound == b.bound && a.spatial == b.spatial;
-}
-
-bool
-operator==(const LevelNest &a, const LevelNest &b)
-{
-    return a.loops == b.loops && a.keep == b.keep;
-}
-
-bool
 operator==(const Mapping &a, const Mapping &b)
 {
     return a.levels() == b.levels();
@@ -126,14 +114,21 @@ MappingBuilder::MappingBuilder(const Workload &workload,
 {
 }
 
+LevelNest &
+MappingBuilder::nest(int level)
+{
+    if (level < 0 || level >= static_cast<int>(levels_.size())) {
+        SL_FATAL("mapping level ", level, " out of range: the ",
+                 "architecture has ", levels_.size(), " levels");
+    }
+    return levels_[level];
+}
+
 MappingBuilder &
 MappingBuilder::temporal(int level, const std::string &dim,
                          std::int64_t bound)
 {
-    SL_ASSERT(level >= 0 && level < static_cast<int>(levels_.size()),
-              "level out of range");
-    levels_[level].loops.push_back(
-        {workload_.dimIndex(dim), bound, false});
+    nest(level).loops.push_back({workload_.dimIndex(dim), bound, false});
     return *this;
 }
 
@@ -141,10 +136,7 @@ MappingBuilder &
 MappingBuilder::spatial(int level, const std::string &dim,
                         std::int64_t bound)
 {
-    SL_ASSERT(level >= 0 && level < static_cast<int>(levels_.size()),
-              "level out of range");
-    levels_[level].loops.push_back(
-        {workload_.dimIndex(dim), bound, true});
+    nest(level).loops.push_back({workload_.dimIndex(dim), bound, true});
     return *this;
 }
 
@@ -152,11 +144,10 @@ MappingBuilder &
 MappingBuilder::keepOnly(int level,
                          const std::vector<std::string> &tensors)
 {
-    SL_ASSERT(level >= 0 && level < static_cast<int>(levels_.size()),
-              "level out of range");
-    levels_[level].keep.assign(workload_.tensorCount(), false);
+    LevelNest &n = nest(level);
+    n.keep.assign(workload_.tensorCount(), false);
     for (const auto &name : tensors) {
-        levels_[level].keep[workload_.tensorIndex(name)] = true;
+        n.keep[workload_.tensorIndex(name)] = true;
     }
     return *this;
 }

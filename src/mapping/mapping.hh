@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "arch/architecture.hh"
+#include "common/fields.hh"
 #include "workload/workload.hh"
 
 namespace sparseloop {
@@ -28,7 +29,17 @@ struct Loop
     bool spatial = false;     ///< parallel-for?
 };
 
-bool operator==(const Loop &a, const Loop &b);
+template <typename A>
+auto
+fields(A &a, Loop &loop)
+{
+    return a(loop.dim, loop.bound, loop.spatial);
+}
+
+inline bool operator==(const Loop &a, const Loop &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
 inline bool operator!=(const Loop &a, const Loop &b) { return !(a == b); }
 
 /** The subnest owned by one storage level, outermost loop first. */
@@ -48,7 +59,20 @@ struct LevelNest
     }
 };
 
-bool operator==(const LevelNest &a, const LevelNest &b);
+template <typename A>
+auto
+fields(A &a, LevelNest &nest)
+{
+    // An empty keep mask (keep-all) is distinct from an explicit
+    // all-true mask in both signature() and operator==; the counted
+    // vector preserves the distinction on the wire.
+    return a(nest.loops, nest.keep);
+}
+
+inline bool operator==(const LevelNest &a, const LevelNest &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
 inline bool operator!=(const LevelNest &a, const LevelNest &b)
 {
     return !(a == b);
@@ -156,6 +180,9 @@ class MappingBuilder
     const Workload &workload_;
     const Architecture &arch_;
     std::vector<LevelNest> levels_;
+
+    /** The subnest of @p level (fatal when out of range). */
+    LevelNest &nest(int level);
 };
 
 } // namespace sparseloop

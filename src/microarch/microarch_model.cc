@@ -63,15 +63,13 @@ totalDenseWords(const TensorLevelDense &d)
 } // namespace
 
 EvalResult
-MicroArchModel::evaluate(SparseTraffic sparse_in, DenseTraffic dense_in,
+MicroArchModel::evaluate(SparseTraffic sparse_in, const DenseTraffic &dense,
                          bool check_capacity) const
 {
     const int S = arch_.levelCount();
     const int T = static_cast<int>(sparse_in.levels.cols());
     EvalResult res;
-    res.dense = std::move(dense_in);
     res.sparse = std::move(sparse_in);
-    const DenseTraffic &dense = res.dense;
     const SparseTraffic &sparse = res.sparse;
     res.computes = sparse.computes;
     res.effectual_computes = sparse.effectual_computes;

@@ -37,19 +37,27 @@ struct LevelResult
     double worst_case_words = 0.0;
     /** Data + metadata words moved per cycle (bandwidth demand). */
     double bandwidth_demand = 0.0;
-
-    /** Exact (bitwise double) equality; feeds the cache's bit-identity
-     *  contract — keep in sync with the field list above. */
-    bool operator==(const LevelResult &o) const
-    {
-        return name == o.name && cycles == o.cycles &&
-               energy_pj == o.energy_pj &&
-               occupied_words == o.occupied_words &&
-               worst_case_words == o.worst_case_words &&
-               bandwidth_demand == o.bandwidth_demand;
-    }
-    bool operator!=(const LevelResult &o) const { return !(*this == o); }
 };
+
+template <typename A>
+auto
+fields(A &a, LevelResult &level)
+{
+    return a(level.name, level.cycles, level.energy_pj,
+             level.occupied_words, level.worst_case_words,
+             level.bandwidth_demand);
+}
+
+inline bool
+operator==(const LevelResult &a, const LevelResult &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const LevelResult &a, const LevelResult &b)
+{
+    return !(a == b);
+}
 
 /** Full evaluation result for one (workload, arch, mapping, SAFs). */
 struct EvalResult
@@ -73,8 +81,8 @@ struct EvalResult
 
     std::vector<LevelResult> levels;
 
-    /** Dense and sparse traffic retained for inspection. */
-    DenseTraffic dense;
+    /** Step-2 sparse traffic retained for inspection (Step 1's dense
+     *  traffic is `Engine::analyzeDataflow`). */
     SparseTraffic sparse;
 
     /** Utilization of the compute array over the runtime. */
@@ -123,26 +131,30 @@ struct EvalResult
         }
         return total;
     }
-
-    /**
-     * Exact equality over every field, including the retained traffic
-     * — the bit-identity contract the evaluation cache guarantees
-     * relative to uncached evaluation (see bitIdentical in engine.hh).
-     */
-    bool operator==(const EvalResult &o) const
-    {
-        return valid == o.valid && invalid_reason == o.invalid_reason &&
-               cycles == o.cycles && energy_pj == o.energy_pj &&
-               computes == o.computes &&
-               effectual_computes == o.effectual_computes &&
-               compute_energy_pj == o.compute_energy_pj &&
-               compute_cycles == o.compute_cycles &&
-               compute_instances == o.compute_instances &&
-               levels == o.levels && dense == o.dense &&
-               sparse == o.sparse;
-    }
-    bool operator!=(const EvalResult &o) const { return !(*this == o); }
 };
+
+template <typename A>
+auto
+fields(A &a, EvalResult &result)
+{
+    return a(result.valid, result.invalid_reason, result.cycles,
+             result.energy_pj, result.computes, result.effectual_computes,
+             result.compute_energy_pj, result.compute_cycles,
+             result.compute_instances, result.levels, result.sparse);
+}
+
+/** Exact equality over every field: the bit-identity contract of the
+ *  evaluation cache (see bitIdentical in engine.hh). */
+inline bool
+operator==(const EvalResult &a, const EvalResult &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const EvalResult &a, const EvalResult &b)
+{
+    return !(a == b);
+}
 
 class MicroArchModel
 {
@@ -150,14 +162,13 @@ class MicroArchModel
     MicroArchModel(const Architecture &arch, const EnergyModel &energy);
 
     /**
-     * Evaluate validity, cycles, and energy for sparse traffic.
-     * Takes the traffic by value: both are retained inside the
-     * returned EvalResult anyway, so callers on the hot path move
-     * them in and skip the deep copies; lvalue callers copy exactly
-     * as before.
+     * Evaluate validity, cycles, and energy for sparse traffic. The
+     * sparse traffic is retained inside the returned EvalResult, so it
+     * is taken by value (callers move it in); the dense traffic is
+     * only read.
      * @param check_capacity disable to rank invalid mappings anyway.
      */
-    EvalResult evaluate(SparseTraffic sparse, DenseTraffic dense,
+    EvalResult evaluate(SparseTraffic sparse, const DenseTraffic &dense,
                         bool check_capacity = true) const;
 
   private:

@@ -85,11 +85,10 @@ class BatchEvaluator
   public:
     /**
      * @param engine evaluation engine (owns the architecture).
-     * @param cache shared cache; null creates a private one with
-     *        default sizing. Inject a cache to size it, or to share
-     *        hits with a `Mapper` (via `MapperOptions::cache`) or
-     *        other evaluators; keys cover the engine configuration, so
-     *        sharing is always safe.
+     * @param cache shared cache; null creates a private one. Inject
+     *        a cache to share hits with a `Mapper` (via
+     *        `MapperOptions::cache`) or other evaluators; keys cover
+     *        the engine configuration, so sharing is always safe.
      * @param options worker-pool knobs.
      */
     explicit BatchEvaluator(Engine engine,

@@ -30,14 +30,8 @@ EvalResult
 Engine::evaluate(const Workload &workload, const Mapping &mapping,
                  const SafSpec &safs) const
 {
-    // Cold path: the dense traffic is ours, so hand it to the
-    // micro-architecture step by move instead of deep copy.
-    DenseTraffic dense = analyzeDataflow(workload, mapping);
-    SparseAnalysis sparse_step(workload, arch_, mapping, safs);
-    SparseTraffic sparse = sparse_step.analyze(dense);
-    MicroArchModel micro(arch_, energy_);
-    return micro.evaluate(std::move(sparse), std::move(dense),
-                          options_.check_capacity);
+    return evaluateFromDense(workload, mapping, safs,
+                             analyzeDataflow(workload, mapping));
 }
 
 DenseTraffic
@@ -100,9 +94,9 @@ formatReport(const EvalResult &result, const Workload &workload,
 bool
 bitIdentical(const EvalResult &a, const EvalResult &b)
 {
-    // The field-by-field comparisons live as operator== next to each
-    // struct definition (microarch_model.hh, sparse_analysis.hh,
-    // dense_traffic.hh), where new fields can't be missed.
+    // operator== walks each record's field list, defined next to its
+    // struct (microarch_model.hh, sparse_analysis.hh), so a new field
+    // cannot be missed.
     return a == b;
 }
 

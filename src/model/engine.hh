@@ -100,7 +100,7 @@ std::string formatReport(const EvalResult &result,
 /**
  * Whether two evaluation results are bit-identical: every scalar
  * (compared with exact floating-point equality), every per-level
- * record, and the retained dense/sparse traffic must match. This is
+ * record, and the retained sparse traffic must match. This is
  * the contract the evaluation cache and batch evaluator guarantee
  * relative to uncached sequential evaluation.
  */

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/mathutil.hh"
 
 namespace sparseloop {
@@ -46,14 +45,10 @@ EvalKey::hash() const
     return math::hashCombine(h, safs);
 }
 
-EvalCache::EvalCache(EvalCacheOptions options) : options_(options)
+EvalCache::EvalCache()
 {
-    if (options_.shards <= 0) {
-        SL_FATAL("EvalCache needs at least one shard, got ",
-                 options_.shards);
-    }
-    shards_.reserve(static_cast<std::size_t>(options_.shards));
-    for (int i = 0; i < options_.shards; ++i) {
+    shards_.reserve(kShards);
+    for (std::size_t i = 0; i < kShards; ++i) {
         shards_.push_back(std::make_unique<Shard>());
     }
 }
@@ -61,8 +56,7 @@ EvalCache::EvalCache(EvalCacheOptions options) : options_(options)
 EvalCache::Shard &
 EvalCache::shardFor(std::uint64_t hash) const
 {
-    return *shards_[static_cast<std::size_t>(
-        hash % static_cast<std::uint64_t>(shards_.size()))];
+    return *shards_[hash % kShards];
 }
 
 namespace {
@@ -90,10 +84,9 @@ findEntry(const Map &map, std::mutex &mutex,
 template <typename Map>
 void
 storeEntryLocked(Map &map, const typename Map::key_type &key,
-                 std::uint64_t hash, typename Map::mapped_type value,
-                 std::size_t max_entries)
+                 std::uint64_t hash, typename Map::mapped_type value)
 {
-    if (max_entries > 0 && map.size() >= max_entries &&
+    if (map.size() >= EvalCache::kMaxEntriesPerShard &&
         map.find(key) == map.end()) {
         // Pseudo-random replacement: probe buckets starting from a
         // position derived from the incoming key's hash and evict the
@@ -144,8 +137,7 @@ EvalCache::storeResult(const EvalKey &key, std::uint64_t hash,
 {
     Shard &shard = shardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    storeEntryLocked(shard.results, key, hash, std::move(result),
-                     options_.max_entries_per_shard);
+    storeEntryLocked(shard.results, key, hash, std::move(result));
 }
 
 std::shared_ptr<const DenseTraffic>
@@ -175,19 +167,10 @@ EvalCache::storeDense(const DenseKey &key, std::uint64_t hash,
 {
     Shard &shard = shardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    storeEntryLocked(shard.dense, key, hash, std::move(dense),
-                     options_.max_entries_per_shard);
+    storeEntryLocked(shard.dense, key, hash, std::move(dense));
 }
 
 namespace {
-
-/** Shard index of a hash for an @p nshards -shard cache. */
-std::size_t
-shardIndex(std::uint64_t hash, std::size_t nshards)
-{
-    return static_cast<std::size_t>(
-        hash % static_cast<std::uint64_t>(nshards));
-}
 
 /** Shared bulk-insert body of both cache levels: @p entries are
  *  grouped by shard so each touched shard is locked exactly once;
@@ -196,18 +179,16 @@ template <typename Shards, typename Entry, typename Shard, typename Map,
           typename Value>
 void
 storeGrouped(const Shards &shards, std::vector<Entry> &entries,
-             std::size_t max_entries, Map Shard::*level,
-             Value Entry::*value)
+             Map Shard::*level, Value Entry::*value)
 {
     if (entries.empty()) {
         return;
     }
-    const std::size_t nshards = shards.size();
-    std::vector<std::vector<std::size_t>> per_shard(nshards);
+    std::vector<std::vector<std::size_t>> per_shard(EvalCache::kShards);
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
+        per_shard[entries[i].hash % EvalCache::kShards].push_back(i);
     }
-    for (std::size_t s = 0; s < nshards; ++s) {
+    for (std::size_t s = 0; s < EvalCache::kShards; ++s) {
         if (per_shard[s].empty()) {
             continue;
         }
@@ -216,7 +197,7 @@ storeGrouped(const Shards &shards, std::vector<Entry> &entries,
         for (std::size_t i : per_shard[s]) {
             storeEntryLocked(shard.*level, entries[i].key,
                              entries[i].hash,
-                             std::move(entries[i].*value), max_entries);
+                             std::move(entries[i].*value));
         }
     }
 }
@@ -226,15 +207,13 @@ storeGrouped(const Shards &shards, std::vector<Entry> &entries,
 void
 EvalCache::storeResults(std::vector<ResultEntry> entries)
 {
-    storeGrouped(shards_, entries, options_.max_entries_per_shard,
-                 &Shard::results, &ResultEntry::result);
+    storeGrouped(shards_, entries, &Shard::results, &ResultEntry::result);
 }
 
 void
 EvalCache::storeDenses(std::vector<DenseEntry> entries)
 {
-    storeGrouped(shards_, entries, options_.max_entries_per_shard,
-                 &Shard::dense, &DenseEntry::dense);
+    storeGrouped(shards_, entries, &Shard::dense, &DenseEntry::dense);
 }
 
 std::vector<EvalCache::ResultEntry>

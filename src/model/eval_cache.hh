@@ -61,16 +61,27 @@ struct DenseKey
     static DenseKey of(const Engine &engine, const Workload &workload,
                        const Mapping &mapping);
 
-    bool operator==(const DenseKey &o) const
-    {
-        return engine == o.engine && workload == o.workload &&
-               mapping == o.mapping;
-    }
-    bool operator!=(const DenseKey &o) const { return !(*this == o); }
-
     /** Combined 64-bit hash of the signatures. */
     std::uint64_t hash() const;
 };
+
+template <typename A>
+auto
+fields(A &a, DenseKey &key)
+{
+    return a(key.engine, key.workload, key.mapping);
+}
+
+inline bool
+operator==(const DenseKey &a, const DenseKey &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const DenseKey &a, const DenseKey &b)
+{
+    return !(a == b);
+}
 
 /**
  * Canonical identity of one evaluation point. Two points with equal
@@ -94,16 +105,23 @@ struct EvalKey
     /** The Step-1 prefix of this key (SAF-independent). */
     DenseKey densePrefix() const { return {engine, workload, mapping}; }
 
-    bool operator==(const EvalKey &o) const
-    {
-        return engine == o.engine && workload == o.workload &&
-               mapping == o.mapping && safs == o.safs;
-    }
-    bool operator!=(const EvalKey &o) const { return !(*this == o); }
-
     /** Combined 64-bit hash of the signatures. */
     std::uint64_t hash() const;
 };
+
+template <typename A>
+auto
+fields(A &a, EvalKey &key)
+{
+    return a(key.engine, key.workload, key.mapping, key.safs);
+}
+
+inline bool
+operator==(const EvalKey &a, const EvalKey &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool operator!=(const EvalKey &a, const EvalKey &b) { return !(a == b); }
 
 /** std::unordered_map adaptor for EvalKey. */
 struct EvalKeyHash
@@ -121,20 +139,6 @@ struct DenseKeyHash
     {
         return static_cast<std::size_t>(k.hash());
     }
-};
-
-/** Cache sizing/concurrency knobs. */
-struct EvalCacheOptions
-{
-    /** Independent lock domains; more shards = less contention. */
-    int shards = 16;
-    /**
-     * Per-shard entry bound for each cache level. When a full shard
-     * admits a new entry it evicts a resident one chosen by a
-     * hash-derived bucket probe (pseudo-random replacement,
-     * uncorrelated with insertion order); 0 disables the bound.
-     */
-    std::size_t max_entries_per_shard = 4096;
 };
 
 /** Monotonic hit/miss counters (since construction or clear()). */
@@ -173,6 +177,16 @@ struct EvalCacheStats
 class EvalCache
 {
   public:
+    /** Independent lock domains; more shards = less contention. */
+    static constexpr std::size_t kShards = 16;
+    /**
+     * Per-shard entry bound of each cache level. When a full shard
+     * admits a new entry it evicts a resident one chosen by a
+     * hash-derived bucket probe (pseudo-random replacement,
+     * uncorrelated with insertion order).
+     */
+    static constexpr std::size_t kMaxEntriesPerShard = 4096;
+
     /** One buffered full-result insertion (see `storeResults`). */
     struct ResultEntry
     {
@@ -189,7 +203,7 @@ class EvalCache
         std::shared_ptr<const DenseTraffic> dense;
     };
 
-    explicit EvalCache(EvalCacheOptions options = {});
+    EvalCache();
 
     /** Cached full result for a key, or null (counts a hit/miss). */
     std::shared_ptr<const EvalResult> findResult(const EvalKey &key) const;
@@ -251,8 +265,6 @@ class EvalCache
     /** Drop all entries and reset the counters. */
     void clear();
 
-    const EvalCacheOptions &options() const { return options_; }
-
   private:
     struct Shard
     {
@@ -263,7 +275,6 @@ class EvalCache
                            DenseKeyHash> dense;
     };
 
-    EvalCacheOptions options_;
     std::vector<std::unique_ptr<Shard>> shards_;
     mutable std::atomic<std::int64_t> result_hits_{0};
     mutable std::atomic<std::int64_t> result_misses_{0};

@@ -44,7 +44,7 @@
 namespace sparseloop {
 
 /** Bumped on any snapshot-visible schema change. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** Outcome of a snapshot save or load. */
 struct SnapshotStats

@@ -21,7 +21,7 @@
  * client surfaces them as `ServiceError` exceptions.
  *
  * Request/response payload schemas live in the structs below, each
- * with its field list (service/wire.hh); the `Payload` base turns that
+ * with its field list (common/fields.hh); the `Payload` base turns that
  * list into `encodePayload` and a static `decodePayload` that must
  * consume the payload exactly (trailing bytes are a protocol error).
  */
@@ -46,7 +46,7 @@ class ProtocolError : public std::runtime_error
 /** "SPLD" — first four bytes of every frame. */
 inline constexpr std::uint32_t kFrameMagic = 0x53504C44u;
 /** Bumped on any wire-visible schema change. */
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 /** Hard bound on one frame's payload (64 MiB). */
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 /** Bytes of a frame header on the wire. */

@@ -13,10 +13,9 @@
 
 namespace sparseloop {
 
-ServiceRegistry::ServiceRegistry(std::shared_ptr<EvalCache> cache,
-                                 std::size_t warm_capacity)
+ServiceRegistry::ServiceRegistry(std::shared_ptr<EvalCache> cache)
     : cache_(cache ? std::move(cache) : std::make_shared<EvalCache>()),
-      warm_(std::make_shared<WarmStartPool>(warm_capacity))
+      warm_(std::make_shared<WarmStartPool>())
 {
 }
 

@@ -58,10 +58,8 @@ class ServiceRegistry
         std::unique_ptr<BatchEvaluator> evaluator;
     };
 
-    /** @param cache shared cache; null creates one with default
-     *        sizing (inject a cache to size it). */
-    explicit ServiceRegistry(std::shared_ptr<EvalCache> cache = nullptr,
-                             std::size_t warm_capacity = 16);
+    /** @param cache shared cache; null creates one. */
+    explicit ServiceRegistry(std::shared_ptr<EvalCache> cache = nullptr);
 
     /** Register a context (fatal on a duplicate name). */
     void addContext(ServiceContextSpec spec);

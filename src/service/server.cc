@@ -20,6 +20,13 @@
 
 namespace sparseloop {
 
+namespace {
+
+/** listen(2) backlog. */
+constexpr int kAcceptBacklog = 16;
+
+} // namespace
+
 bool
 readFull(int fd, std::uint8_t *buf, std::size_t n)
 {
@@ -112,7 +119,7 @@ ServiceServer::start()
     }
     if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, options_.accept_backlog) != 0) {
+        ::listen(listen_fd_, kAcceptBacklog) != 0) {
         std::string err = std::strerror(errno);
         ::close(listen_fd_);
         listen_fd_ = -1;

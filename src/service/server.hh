@@ -71,8 +71,6 @@ struct ServerOptions
     /** Re-snapshot after this many new cache entries accumulate
      *  (0 = only on stop()). */
     std::size_t snapshot_every_entries = 0;
-    /** listen(2) backlog. */
-    int accept_backlog = 16;
 };
 
 class ServiceServer

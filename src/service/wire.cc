@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire primitives: the little-endian scalar and string forms every
- * field list in wire.hh is built from, and the reader's bounds checks.
+ * field list is encoded with, and the reader's bounds checks.
  */
 
 #include "service/wire.hh"

@@ -13,12 +13,14 @@
  * snapshot version numbers.
  *
  * Each serialized record states its field order exactly once, in a
- * `fields(archive, record)` function: below for the domain types,
- * next to each payload in protocol.hh, next to each snapshot record
- * in persistence.cc. `WireWriter` and `WireReader` are the two
- * archives that walk those lists — `w(a, b)` appends fields,
- * `r(a, b)` reads them back in place — so encode and decode cannot
- * drift apart. Wire forms by field type:
+ * `fields(archive, record)` function (common/fields.hh): next to each
+ * domain struct, where it also drives the struct's `operator==`; next
+ * to each payload in protocol.hh; next to each snapshot record in
+ * persistence.cc. Only `Mapping`'s codec, below, is written as a pair.
+ * `WireWriter` and `WireReader` are the two archives that walk those
+ * lists — `w(a, b)` appends fields, `r(a, b)` reads them back in
+ * place — so encode and decode cannot drift apart. Wire forms by
+ * field type:
  *
  *     bool, uint8_t            1 byte
  *     int, uint32_t            u32
@@ -310,26 +312,8 @@ class WireReader
     }
 };
 
-/** @name Field lists of the domain records that cross a process
- *  boundary (requests, replies and snapshots).
+/** @name Mapping's codec (rebuilt through its constructor).
  *  @{ */
-template <typename A>
-void
-fields(A &a, Loop &loop)
-{
-    a(loop.dim, loop.bound, loop.spatial);
-}
-
-template <typename A>
-void
-fields(A &a, LevelNest &nest)
-{
-    // An empty keep mask (keep-all) is distinct from an explicit
-    // all-true mask in both signature() and operator==; the counted
-    // vector preserves the distinction.
-    a(nest.loops, nest.keep);
-}
-
 inline void
 fields(WireWriter &w, Mapping &mapping)
 {
@@ -342,86 +326,6 @@ fields(WireReader &r, Mapping &mapping)
     std::vector<LevelNest> levels;
     r(levels);
     mapping = Mapping(std::move(levels));
-}
-
-template <typename A>
-void
-fields(A &a, EvalKey &key)
-{
-    a(key.engine, key.workload, key.mapping, key.safs);
-}
-
-template <typename A>
-void
-fields(A &a, DenseKey &key)
-{
-    a(key.engine, key.workload, key.mapping);
-}
-
-template <typename A>
-void
-fields(A &a, ActionBreakdown &b)
-{
-    a(b.actual, b.gated, b.skipped);
-}
-
-template <typename A>
-void
-fields(A &a, TensorLevelDense &t)
-{
-    a(t.kept, t.footprint, t.tile_extents, t.fills, t.reads, t.updates,
-      t.acc_reads, t.drains);
-}
-
-template <typename A>
-void
-fields(A &a, TensorLevelSparse &t)
-{
-    a(t.reads, t.fills, t.updates, t.acc_reads, t.drains, t.meta_reads,
-      t.meta_fills, t.meta_updates, t.tile_data_words,
-      t.tile_metadata_words, t.tile_worst_words, t.tile_dense_words);
-}
-
-template <typename A>
-void
-fields(A &a, DenseTraffic &dense)
-{
-    a(dense.levels, dense.computes, dense.instances,
-      dense.compute_instances);
-}
-
-template <typename A>
-void
-fields(A &a, SparseTraffic &sparse)
-{
-    a(sparse.levels, sparse.computes, sparse.effectual_computes,
-      sparse.instances, sparse.compute_instances);
-}
-
-template <typename A>
-void
-fields(A &a, LevelResult &level)
-{
-    a(level.name, level.cycles, level.energy_pj, level.occupied_words,
-      level.worst_case_words, level.bandwidth_demand);
-}
-
-template <typename A>
-void
-fields(A &a, EvalResult &result)
-{
-    a(result.valid, result.invalid_reason, result.cycles,
-      result.energy_pj, result.computes, result.effectual_computes,
-      result.compute_energy_pj, result.compute_cycles,
-      result.compute_instances, result.levels, result.dense,
-      result.sparse);
-}
-
-template <typename A>
-void
-fields(A &a, MetricVector &metrics)
-{
-    a(metrics.values);
 }
 /** @} */
 

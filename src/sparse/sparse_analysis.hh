@@ -45,19 +45,25 @@ struct ActionBreakdown
     double total() const { return actual + gated + skipped; }
     /** Actions that consume a cycle (actual + gated). */
     double occupying() const { return actual + gated; }
-
-    /** Exact (bitwise double) equality; feeds the cache's bit-identity
-     *  contract — keep in sync with the field list above. */
-    bool operator==(const ActionBreakdown &o) const
-    {
-        return actual == o.actual && gated == o.gated &&
-               skipped == o.skipped;
-    }
-    bool operator!=(const ActionBreakdown &o) const
-    {
-        return !(*this == o);
-    }
 };
+
+template <typename A>
+auto
+fields(A &a, ActionBreakdown &b)
+{
+    return a(b.actual, b.gated, b.skipped);
+}
+
+inline bool
+operator==(const ActionBreakdown &a, const ActionBreakdown &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const ActionBreakdown &a, const ActionBreakdown &b)
+{
+    return !(a == b);
+}
 
 /** Sparse traffic of one tensor at one storage level. */
 struct TensorLevelSparse
@@ -86,25 +92,27 @@ struct TensorLevelSparse
     {
         return tile_data_words + tile_metadata_words;
     }
-
-    /** Exact equality over every action/footprint field. */
-    bool operator==(const TensorLevelSparse &o) const
-    {
-        return reads == o.reads && fills == o.fills &&
-               updates == o.updates && acc_reads == o.acc_reads &&
-               drains == o.drains && meta_reads == o.meta_reads &&
-               meta_fills == o.meta_fills &&
-               meta_updates == o.meta_updates &&
-               tile_data_words == o.tile_data_words &&
-               tile_metadata_words == o.tile_metadata_words &&
-               tile_worst_words == o.tile_worst_words &&
-               tile_dense_words == o.tile_dense_words;
-    }
-    bool operator!=(const TensorLevelSparse &o) const
-    {
-        return !(*this == o);
-    }
 };
+
+template <typename A>
+auto
+fields(A &a, TensorLevelSparse &t)
+{
+    return a(t.reads, t.fills, t.updates, t.acc_reads, t.drains,
+             t.meta_reads, t.meta_fills, t.meta_updates, t.tile_data_words,
+             t.tile_metadata_words, t.tile_worst_words, t.tile_dense_words);
+}
+
+inline bool
+operator==(const TensorLevelSparse &a, const TensorLevelSparse &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const TensorLevelSparse &a, const TensorLevelSparse &b)
+{
+    return !(a == b);
+}
 
 /** Result of the sparse modeling step. */
 struct SparseTraffic
@@ -121,18 +129,26 @@ struct SparseTraffic
     {
         return levels[level][tensor];
     }
-
-    /** Exact equality over every record (bit-identity contract). */
-    bool operator==(const SparseTraffic &o) const
-    {
-        return computes == o.computes &&
-               effectual_computes == o.effectual_computes &&
-               instances == o.instances &&
-               compute_instances == o.compute_instances &&
-               levels == o.levels;
-    }
-    bool operator!=(const SparseTraffic &o) const { return !(*this == o); }
 };
+
+template <typename A>
+auto
+fields(A &a, SparseTraffic &sparse)
+{
+    return a(sparse.levels, sparse.computes, sparse.effectual_computes,
+             sparse.instances, sparse.compute_instances);
+}
+
+inline bool
+operator==(const SparseTraffic &a, const SparseTraffic &b)
+{
+    return fieldTie(a) == fieldTie(b);
+}
+inline bool
+operator!=(const SparseTraffic &a, const SparseTraffic &b)
+{
+    return !(a == b);
+}
 
 class SparseAnalysis
 {

@@ -80,6 +80,11 @@ TEST(Hypergeometric, RejectsBadDensity)
     EXPECT_THROW(HypergeometricDensity(64, -0.1), FatalError);
 }
 
+TEST(Hypergeometric, RejectsEmptyTensor)
+{
+    EXPECT_THROW(HypergeometricDensity(0, 0.5), FatalError);
+}
+
 TEST(Hypergeometric, MatchesActualUniformData)
 {
     // The statistical law should track concrete uniform data closely.
@@ -198,6 +203,11 @@ TEST(ActualData, WholeTensorTile)
     EXPECT_NEAR(m.expectedOccupancyShaped({8, 8}),
                 static_cast<double>(data->nonzeroCount()), 1e-9);
     EXPECT_DOUBLE_EQ(m.probEmptyShaped({8, 8}), 0.0);
+}
+
+TEST(ActualData, RejectsNullTensor)
+{
+    EXPECT_THROW(ActualDataDensity(nullptr), FatalError);
 }
 
 /**

@@ -11,7 +11,9 @@
  * steps. This suite pits the two against each other over hundreds of
  * seeded randomized (workload, mapping, SAF, format) tuples and
  * requires bit-identical `EvalResult`s (`bitIdentical`, exact double
- * equality on every field including the retained traffic).
+ * equality on every field including the retained sparse traffic) and
+ * bit-identical Step-1 dense traffic (`Engine::analyzeDataflow` against
+ * `refmodel::referenceAnalyzeDataflow`).
  *
  * Also covered here:
  *  - deep hierarchies: tuples whose shapes outgrow the inline scratch
@@ -352,6 +354,10 @@ TEST_P(EngineDifferential, MatchesNaiveReferenceBitForBit)
 {
     Tuple tup = makeTuple(GetParam());
     Engine engine(tup.arch);
+    ASSERT_TRUE(engine.analyzeDataflow(tup.workload, tup.mapping) ==
+                refmodel::referenceAnalyzeDataflow(tup.workload, tup.arch,
+                                                   tup.mapping))
+        << "tuple " << GetParam() << ": Step-1 dense traffic diverged";
     EvalResult opt =
         engine.evaluate(tup.workload, tup.mapping, tup.safs);
     EvalResult ref = refmodel::referenceEvaluate(
@@ -392,6 +398,10 @@ TEST_P(EngineDifferentialStacked, MatchesNaiveReferenceBitForBit)
     Tuple tup = makeTuple(GetParam(), true);
     ASSERT_GE(tup.safs.intersections.size(), 2u);
     Engine engine(tup.arch);
+    ASSERT_TRUE(engine.analyzeDataflow(tup.workload, tup.mapping) ==
+                refmodel::referenceAnalyzeDataflow(tup.workload, tup.arch,
+                                                   tup.mapping))
+        << "stacked tuple " << GetParam() << ": Step-1 dense traffic diverged";
     EvalResult opt =
         engine.evaluate(tup.workload, tup.mapping, tup.safs);
     EvalResult ref = refmodel::referenceEvaluate(
@@ -476,6 +486,10 @@ TEST_P(EngineDifferentialDeep, MatchesNaiveReferenceBitForBit)
     ASSERT_EQ(tup.workload.dimCount(), 7);
     ASSERT_EQ(tup.workload.tensorCount(), 3);
     Engine engine(tup.arch);
+    ASSERT_TRUE(engine.analyzeDataflow(tup.workload, tup.mapping) ==
+                refmodel::referenceAnalyzeDataflow(tup.workload, tup.arch,
+                                                   tup.mapping))
+        << "deep tuple " << GetParam() << ": Step-1 dense traffic diverged";
     EvalResult opt =
         engine.evaluate(tup.workload, tup.mapping, tup.safs);
     EvalResult ref = refmodel::referenceEvaluate(

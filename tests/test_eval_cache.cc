@@ -216,15 +216,13 @@ TEST(EvalCacheStore, FindStoreAndStats)
 
 TEST(EvalCacheStore, EvictionKeepsShardsBounded)
 {
-    EvalCacheOptions opts;
-    opts.shards = 2;
-    opts.max_entries_per_shard = 4;
-    EvalCache cache(opts);
+    EvalCache cache;
     auto result = std::make_shared<const EvalResult>();
-    for (std::uint64_t i = 0; i < 64; ++i) {
+    for (std::uint64_t i = 0; i < 200000; ++i) {
         cache.storeResult({i, i + 1, i + 2}, result);
     }
-    EXPECT_LE(cache.stats().result_entries, 8u);
+    // 16 shards of at most 4096 entries each.
+    EXPECT_LE(cache.stats().result_entries, 65536u);
 }
 
 TEST(EvalCacheStore, CachedEvaluationIsBitIdentical)

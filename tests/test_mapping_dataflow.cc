@@ -61,6 +61,16 @@ TEST(Mapping, SpatialFanoutLimitEnforced)
     EXPECT_THROW(b.build(), FatalError);  // fanout 4 > limit 2
 }
 
+TEST(Mapping, BuilderLevelOutOfRangeIsFatal)
+{
+    Workload w = makeMatmul(4, 4, 4);
+    Architecture arch = twoLevelArch();
+    MappingBuilder b(w, arch);
+    EXPECT_THROW(b.temporal(2, "M", 4), FatalError);
+    EXPECT_THROW(b.spatial(-1, "M", 4), FatalError);
+    EXPECT_THROW(b.keepOnly(2, {"A"}), FatalError);
+}
+
 TEST(Mapping, InstanceCounting)
 {
     Workload w = makeMatmul(4, 4, 4);

@@ -216,7 +216,9 @@ randomEvalResult(Rng &rng)
         level.worst_case_words = randomDouble(rng);
         level.bandwidth_demand = randomDouble(rng);
     }
-    result.dense = randomDenseTraffic(rng);
+    // Drawn and discarded: the other pinned encodings were captured
+    // from the RNG stream that includes this draw.
+    randomDenseTraffic(rng);
     result.sparse = randomSparseTraffic(rng);
     return result;
 }
@@ -497,16 +499,16 @@ TEST(ServiceWire, EncodingIsPinned)
             {"DenseKey", 24, 0xe4ecfeace1517103ull},
             {"DenseTraffic", 129, 0x577bd73a5e1aaa59ull},
             {"SparseTraffic", 252, 0x46c6132f5dd973a8ull},
-            {"EvalResult", 1002, 0x29b0c5aaa4758ec8ull},
+            {"EvalResult", 873, 0x4d3515a1279fe818ull},
             {"MetricVector", 40, 0x70f093ab23d98e03ull},
             {"EvaluateBatchRequest", 194, 0xa288ae33db78ae91ull},
-            {"EvaluateBatchReply", 2697, 0xd4903908d249a826ull},
+            {"EvaluateBatchReply", 1858, 0x3cfb12b1f3b5b16dull},
             {"SearchRequest", 36, 0x3ab712df31415541ull},
-            {"SearchReply", 2111, 0x07cfbd1e647c807bull},
+            {"SearchReply", 1913, 0x5e7edd74deaaaf4full},
             {"CacheStatsReply", 64, 0x5fbd3fd3070f7984ull},
             {"ContextListReply", 33, 0x3287e59e744759eeull},
             {"ErrorReply", 23, 0xee2de6eac9fb3757ull},
-            {"snapshot", 5383, 0x97735367a5e51c72ull},
+            {"snapshot", 4545, 0x7e3c08c979dbb4d1ull},
         };
     std::vector<std::pair<std::string, std::vector<std::uint8_t>>> corpus =
         pinnedCorpus();
@@ -903,10 +905,17 @@ TEST(ServiceProtocol, OversizedReplyComesBackAsError)
     for (ServiceContextSpec &spec : standardServiceContexts(8, 8, 8)) {
         registry.addContext(std::move(spec));
     }
+    // One copy more than the frame bound has room for in the reply:
+    // the reply overflows it while the request stays far below it.
+    const ServiceContextSpec &spec = registry.find("bitmask")->spec;
+    WireWriter one;
+    encode(one, Engine(spec.arch).evaluate(spec.workload, spec.canonical,
+                                           spec.safs));
     EvaluateBatchRequest req;
     req.context = "bitmask";
-    req.mappings.assign(40000, registry.find("bitmask")->spec.canonical);
+    req.mappings.assign(kMaxFramePayload / one.size() + 1, spec.canonical);
     std::vector<std::uint8_t> payload = req.encodePayload();
+    ASSERT_LT(payload.size(), kMaxFramePayload);
     SessionEffects effects;
     std::vector<std::uint8_t> reply =
         handleRequest(registry, FrameType::kEvaluateBatch, payload.data(),

@@ -272,13 +272,21 @@ TEST_F(ServiceServerTest, MalformedMappingComesBackInvalidNotFatal)
 
 TEST_F(ServiceServerTest, OversizedReplyComesBackAsErrorAndServingContinues)
 {
-    // 40,000 results encode past the 64 MiB frame bound; the daemon
-    // must answer with an error frame instead of dying.
+    // One copy more than the 64 MiB frame bound has room for in the
+    // reply: the daemon must answer with an error frame instead of
+    // dying, while the request itself stays under the bound.
     ServiceClient client = connectClient();
-    std::vector<Mapping> mappings(
-        40000, registry_->find("bitmask")->spec.canonical);
+    const ServiceContextSpec &spec = registry_->find("bitmask")->spec;
+    WireWriter one;
+    encode(one, Engine(spec.arch).evaluate(spec.workload, spec.canonical,
+                                           spec.safs));
+    EvaluateBatchRequest request;
+    request.context = "bitmask";
+    request.mappings.assign(kMaxFramePayload / one.size() + 1,
+                            spec.canonical);
+    ASSERT_LT(request.encodePayload().size(), kMaxFramePayload);
     try {
-        client.evaluateBatch("bitmask", mappings);
+        client.evaluateBatch(request.context, request.mappings);
         FAIL() << "expected ServiceError";
     } catch (const ServiceError &e) {
         EXPECT_NE(std::string(e.what()).find("64 MiB"), std::string::npos)
