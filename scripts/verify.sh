@@ -3,10 +3,12 @@
 # binaries, benches, examples), run the full CTest suite, smoke-run
 # the search-strategy, pareto-front, and mapspace-pruning ablations,
 # run the evaluation-daemon smoke (serve over TCP, snapshot, restart,
-# assert warm cache hits), check intra-repo markdown links, and —
-# when doxygen is installed — run the API-docs check (warnings in
-# src/model, src/mapper, and src/common are errors, mirroring the CI
-# docs job). A second explicit Release (-O2/NDEBUG) build-and-ctest
+# assert warm cache hits), build and smoke-run the end-to-end
+# benchmark (benchmark/run.py --smoke, which builds benchmark/ against
+# src/ so an API change that breaks it fails here), check intra-repo
+# markdown links, and — when doxygen is installed — run the API-docs
+# check (warnings in src/model, src/mapper, and src/common are errors,
+# mirroring the CI docs job). A second explicit Release (-O2/NDEBUG) build-and-ctest
 # pass runs alongside the default config; skip it with
 # SPARSELOOP_SKIP_RELEASE=1. The engine perf gate (Release
 # microbenchmark vs the committed bench/baselines/BENCH_engine.json)
@@ -35,6 +37,9 @@ echo "== mapspace pruning ablation smoke (per-pass sizes, losslessness) =="
 
 echo "== daemon smoke (serve, evaluate, snapshot, restart, warm hits) =="
 "${repo_root}/scripts/daemon_smoke.sh" "${build_dir}"
+
+echo "== end-to-end benchmark smoke (builds benchmark/ against src/) =="
+(cd "${repo_root}" && python3 benchmark/run.py --smoke)
 
 if [[ "${SPARSELOOP_SKIP_RELEASE:-0}" != "1" ]]; then
     echo "== Release (-O2/NDEBUG) build-and-ctest =="

@@ -47,7 +47,10 @@ OccupancyDistribution
 ActualDataDensity::distributionShaped(const Shape &extents) const
 {
     const Shape &full = data_->shape();
-    SL_ASSERT(extents.size() == full.size(), "tile rank mismatch");
+    if (extents.size() != full.size()) {
+        SL_FATAL("actual-data density: a rank-", extents.size(),
+                 " tile does not fit the rank-", full.size(), " tensor");
+    }
     // Number of aligned tiles along each rank.
     Shape tiles(full.size());
     std::int64_t total_tiles = 1;

@@ -61,9 +61,6 @@ Mapper::searchWithThreads(int num_threads) const
 
     SearchTuning tuning;
     tuning.hybrid_warmup = options_.hybrid_warmup;
-    tuning.annealing = options_.annealing;
-    tuning.genetic = options_.genetic;
-    tuning.hierarchical = options_.hierarchical;
     auto strategy = makeSearchStrategy(
         options_.strategy, *space_, options_.seed, options_.samples,
         tuning);

@@ -76,13 +76,15 @@ struct MapperOptions
      * (objective, index) reduction are batch-size independent.
      */
     int batch_size = 256;
-    /** HybridSearch warmup/restart window; 0 = samples / 4. */
+    /** Hybrid warmup/restart window; 0 = samples / 4. The only
+     *  strategy tuning: the other strategies' parameters are fixed. */
     int hybrid_warmup = 0;
-    /** AnnealingSearch knobs (used when strategy == Annealing). */
+    /** Empty (see `AnnealingOptions`): kept for the benchmark's copy. */
     AnnealingOptions annealing;
-    /** GeneticSearch knobs (used when strategy == Genetic). */
+    /** Empty (see `GeneticOptions`): kept for the benchmark's copy. */
     GeneticOptions genetic;
-    /** HierarchicalSearch knobs (used when strategy == Hierarchical). */
+    /** Empty (see `HierarchicalOptions`): kept for the benchmark's
+     *  copy. */
     HierarchicalOptions hierarchical;
     /**
      * Optional cross-design-point warm-start pool for sweep drivers.
@@ -165,10 +167,9 @@ struct MapperResult
     /**
      * Warm-start elites that re-encoded into this search's mapspace
      * and were offered to the strategy (0 without a pool). The
-     * strategy may use fewer: annealing seeds at most
-     * `AnnealingOptions::chains`, genetic at most
-     * `GeneticOptions::population`, and random/exhaustive ignore
-     * starting points entirely.
+     * strategy may use fewer: annealing seeds at most its 8 chains,
+     * genetic at most its population of 24, and random/exhaustive
+     * ignore starting points entirely.
      */
     std::int64_t warm_start_candidates = 0;
     /**

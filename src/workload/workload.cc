@@ -82,6 +82,16 @@ Workload::tensorIndex(const std::string &name) const
     SL_FATAL("unknown tensor '", name, "' in workload ", name_);
 }
 
+void
+Workload::setDensity(int t, DensityModelPtr model)
+{
+    if (t < 0 || t >= tensorCount()) {
+        SL_FATAL("setDensity: tensor index ", t, " is out of range [0, ",
+                 tensorCount(), ") in workload ", name_);
+    }
+    tensors_[t].density = std::move(model);
+}
+
 int
 Workload::outputTensor() const
 {

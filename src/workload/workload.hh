@@ -139,11 +139,8 @@ class Workload
     /** Project an iteration-space point onto tensor @p t's ranks. */
     Point project(int t, const Point &iter_point) const;
 
-    /** Bind a density model to a tensor. */
-    void setDensity(int t, DensityModelPtr model)
-    {
-        tensors_[t].density = std::move(model);
-    }
+    /** Bind a density model to tensor @p t (fatal when out of range). */
+    void setDensity(int t, DensityModelPtr model);
     void setDensity(const std::string &tensor_name, DensityModelPtr model)
     {
         setDensity(tensorIndex(tensor_name), std::move(model));

@@ -10,9 +10,12 @@
 
 #include <algorithm>
 
+#include "apps/designs.hh"
 #include "common/logging.hh"
+#include "density/actual_data.hh"
 #include "mapper/mapper.hh"
 #include "model/batch_evaluator.hh"
+#include "tensor/generate.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
@@ -341,6 +344,29 @@ TEST(BatchEvaluator, OutOfRangeLeaderIsInvalidAtEveryPoint)
             }
         }
     }
+}
+
+TEST(BatchEvaluator, WrongRankActualDataIsInvalid)
+{
+    // A rank-3 tensor bound to the rank-2 A: the point comes back
+    // invalid with the engine's message instead of aborting the batch.
+    Workload w = makeMatmul(16, 16, 16);
+    w.setDensity("A", makeActualDataDensity(std::make_shared<SparseTensor>(
+                          generateUniform({2, 8, 16}, 0.3, 1))));
+    apps::DesignPoint d = apps::buildBitmaskDesign(w);
+    Engine engine(d.arch);
+    std::string expected;
+    try {
+        engine.evaluate(w, d.mapping, d.safs);
+    } catch (const FatalError &err) {
+        expected = err.what();
+    }
+    ASSERT_NE(expected.find("rank-3"), std::string::npos) << expected;
+    std::vector<EvalResult> results =
+        BatchEvaluator(engine).evaluateMappings(w, {&d.mapping}, d.safs);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].valid);
+    EXPECT_EQ(results[0].invalid_reason, expected);
 }
 
 TEST(BatchEvaluator, FirstFailureInInputOrderIsThrown)

@@ -210,6 +210,13 @@ TEST(ActualData, RejectsNullTensor)
     EXPECT_THROW(ActualDataDensity(nullptr), FatalError);
 }
 
+TEST(ActualData, WrongRankTileIsFatal)
+{
+    ActualDataDensity m(std::make_shared<SparseTensor>(
+        generateUniform({8, 8}, 0.5, 3)));
+    EXPECT_THROW(m.expectedOccupancyShaped({4}), FatalError);
+}
+
 /**
  * Property: Fig. 9 behavior — under a uniform model, larger tiles have
  * density distributions concentrating around the tensor density.

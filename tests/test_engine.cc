@@ -9,8 +9,10 @@
 
 #include "apps/designs.hh"
 #include "common/logging.hh"
+#include "density/actual_data.hh"
 #include "density/structured.hh"
 #include "model/engine.hh"
+#include "tensor/generate.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
@@ -77,6 +79,16 @@ TEST(Engine, SkippingReducesCyclesGatingDoesNot)
     // Gated actions still burn some energy: gating saves less than
     // skipping.
     EXPECT_GT(gated.energy_pj, skipped.energy_pj);
+}
+
+TEST(Engine, WrongRankActualDataIsFatal)
+{
+    // A rank-3 tensor bound to the rank-2 A: bad input, not a bug.
+    Workload w = makeMatmul(16, 16, 16);
+    w.setDensity("A", makeActualDataDensity(std::make_shared<SparseTensor>(
+                          generateUniform({2, 8, 16}, 0.3, 1))));
+    apps::DesignPoint d = apps::buildBitmaskDesign(w);
+    EXPECT_THROW(Engine(d.arch).evaluate(w, d.mapping, d.safs), FatalError);
 }
 
 TEST(Engine, CapacityViolationInvalidatesMapping)

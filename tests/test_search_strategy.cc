@@ -433,14 +433,19 @@ TEST(SearchStrategies, AnnealingAndGeneticResultsArePinned)
     // Fixed outcomes of the annealing chains and the genetic
     // mutations, which both draw through MapSpace::randomNeighbor, so
     // a change to the neighbour order or to the draw cannot pass as
-    // "still deterministic". The three spaces between them draw every
-    // move family: keep-all (tiling, permutation and spatial moves),
-    // bypass open (adds keep moves), and bypass open with the Buffer
-    // loop order constrained (constrained levels take no permutation
-    // moves and are rebuilt from the constraint by reconcile).
+    // "still deterministic". The hierarchical rows pin the coarse
+    // sweep and the greedy refinement, so a drift in its fixed
+    // coarse share, refine width or keeps per tiling fails here too.
+    // The three spaces between them draw every move family: keep-all
+    // (tiling, permutation and spatial moves), bypass open (adds keep
+    // moves), and bypass open with the Buffer loop order constrained
+    // (constrained levels take no permutation moves and are rebuilt
+    // from the constraint by reconcile).
     enum Space { KeepAll, Bypass, ConstrainedOrder };
     constexpr SearchStrategyKind Annealing = SearchStrategyKind::Annealing;
     constexpr SearchStrategyKind Genetic = SearchStrategyKind::Genetic;
+    constexpr SearchStrategyKind Hierarchical =
+        SearchStrategyKind::Hierarchical;
     struct Pinned
     {
         SearchStrategyKind kind;
@@ -500,6 +505,30 @@ TEST(SearchStrategies, AnnealingAndGeneticResultsArePinned)
          0x8e78b4af1cf418acull, 300, 0x4258673333333333ull},
         {Genetic, ConstrainedOrder, 0xC0FFEE, true,
          0x8e78b4af1cf418acull, 299, 0x4258673333333333ull},
+        {Hierarchical, KeepAll, 1, false,
+         0xd84c5b3b3a8cf3f3ull, 284, 0x4258999999999999ull},
+        {Hierarchical, KeepAll, 1, true,
+         0x1d44384814737189ull, 282, 0x4258999999999999ull},
+        {Hierarchical, KeepAll, 0xC0FFEE, false,
+         0xd84c5b3b3a8cf3f3ull, 283, 0x4258999999999999ull},
+        {Hierarchical, KeepAll, 0xC0FFEE, true,
+         0x1d44384814737189ull, 282, 0x4258999999999999ull},
+        {Hierarchical, Bypass, 1, false,
+         0x3fa988c20feb9187ull, 296, 0x4258180000000000ull},
+        {Hierarchical, Bypass, 1, true,
+         0x3fa988c20feb9187ull, 293, 0x4258180000000000ull},
+        {Hierarchical, Bypass, 0xC0FFEE, false,
+         0x3fa988c20feb9187ull, 295, 0x4258180000000000ull},
+        {Hierarchical, Bypass, 0xC0FFEE, true,
+         0x3fa988c20feb9187ull, 291, 0x4258180000000000ull},
+        {Hierarchical, ConstrainedOrder, 1, false,
+         0x911adbfa2bda2d7aull, 296, 0x4258180000000000ull},
+        {Hierarchical, ConstrainedOrder, 1, true,
+         0x911adbfa2bda2d7aull, 296, 0x4258180000000000ull},
+        {Hierarchical, ConstrainedOrder, 0xC0FFEE, false,
+         0x911adbfa2bda2d7aull, 296, 0x4258180000000000ull},
+        {Hierarchical, ConstrainedOrder, 0xC0FFEE, true,
+         0x911adbfa2bda2d7aull, 296, 0x4258180000000000ull},
     };
     Workload w = makeMatmul(64, 64, 64);
     Architecture arch = searchArch();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "density/hypergeometric.hh"
 #include "workload/builders.hh"
 #include "workload/workload.hh"
 
@@ -140,6 +141,15 @@ TEST(Workload, UnknownNamesAreFatal)
     Workload w = makeMatmul(4, 4, 4);
     EXPECT_THROW(w.dimIndex("X"), FatalError);
     EXPECT_THROW(w.tensorIndex("Q"), FatalError);
+}
+
+TEST(Workload, OutOfRangeDensityBindingIsFatal)
+{
+    Workload w = makeMatmul(4, 4, 4);
+    for (int t : {-1, w.tensorCount()}) {
+        EXPECT_THROW(w.setDensity(t, makeUniformDensity(16, 0.5)), FatalError)
+            << "t=" << t;
+    }
 }
 
 TEST(Workload, EmptyDimsOrTensorsAreFatal)
