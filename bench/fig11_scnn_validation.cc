@@ -5,6 +5,9 @@
  * reference model, per architecture component.
  *
  * Expected shape: < 1% error for every component.
+ *
+ * Exit-code gate: the binary prints a FAIL line and exits 1 when the
+ * worst component error reaches the paper's 1% bound.
  */
 
 #include <cstdio>
@@ -75,5 +78,12 @@ main()
     }
     std::printf("\nworst component error: %.2f%% (paper: < 1%% for all "
                 "components)\n", worst);
+
+    constexpr double kMaxComponentErrPct = 1.0;
+    if (worst >= kMaxComponentErrPct) {
+        std::printf("FAIL: worst component error %.2f%% reaches %.1f%%\n",
+                    worst, kMaxComponentErrPct);
+        return 1;
+    }
     return 0;
 }

@@ -63,9 +63,8 @@ if [[ "${SPARSELOOP_TSAN:-0}" == "1" ]]; then
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
     cmake --build "${tsan_dir}" -j
     # Serial on purpose: TSan instrumentation is memory-hungry, and a
-    # bare -j before -R makes older ctest eat the filter.
-    ctest --test-dir "${tsan_dir}" --output-on-failure \
-        -R 'test_(thread_pool|batch_evaluator|eval_cache|engine_differential|parallel_mapper|search_strategy|pareto_search|service_server|cache_persistence)'
+    # bare -j before -L makes older ctest eat the filter.
+    ctest --test-dir "${tsan_dir}" --output-on-failure -L tsan
 fi
 
 if [[ "${SPARSELOOP_SKIP_PERF:-0}" != "1" ]]; then

@@ -977,9 +977,14 @@ MapSpace::sampleMapping(std::uint64_t seed) const
 Mapping
 MapSpace::mappingAt(std::int64_t index) const
 {
-    SL_ASSERT(size_.enumerable >= 0, "mapspace is not enumerable");
-    SL_ASSERT(index >= 0 && index < size_.enumerable,
-              "mapspace index ", index, " out of range");
+    if (size_.enumerable < 0) {
+        SL_FATAL("mapspace of ", tilingCount(),
+                 " tilings is not enumerable; cannot take index ", index);
+    }
+    if (index < 0 || index >= size_.enumerable) {
+        SL_FATAL("mapspace index ", index, " out of range [0, ",
+                 size_.enumerable, ")");
+    }
 
     // Locate the tiling block, then decode the offset within it.
     auto it = std::upper_bound(tiling_prefix_.begin(),

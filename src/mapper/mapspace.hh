@@ -307,8 +307,9 @@ class MapSpace
      * With the pruning passes off the enumeration covers every mapping
      * `sampleMapping` can produce; with them on it covers the quotient
      * space — every sampled mapping has an enumerated representative
-     * with identical traffic on every metric. Requires
-     * `size().enumerable >= 0` and `0 <= index < size().enumerable`.
+     * with identical traffic on every metric. Throws `FatalError`
+     * unless `size().enumerable >= 0` and
+     * `0 <= index < size().enumerable`.
      */
     Mapping mappingAt(std::int64_t index) const;
 

@@ -100,8 +100,10 @@ BatchEvaluator::evaluatePoints(const std::vector<EvalPoint> &points,
         EvalKey key;
         std::uint64_t hash = 0;  ///< key.hash(), for probe and store
         const EvalPoint *point = nullptr;
+        std::size_t first = 0;   ///< first input index the job serves
         std::size_t group = 0;   ///< DenseGroup of a result-cache miss
         std::shared_ptr<const EvalResult> result;
+        bool fresh = false;  ///< the worker wrote results[first]
         std::string error;  ///< FatalError text when result stays null
     };
     std::vector<Job> jobs;
@@ -136,6 +138,7 @@ BatchEvaluator::evaluatePoints(const std::vector<EvalPoint> &points,
             job.key = key;
             job.hash = key.hash();
             job.point = &p;
+            job.first = i;
         }
         point_to_job[i] = it->second;
     }
@@ -170,10 +173,12 @@ BatchEvaluator::evaluatePoints(const std::vector<EvalPoint> &points,
     }
 
     // 3. Evaluate every miss in one fan-out over the persistent pool.
-    //    Workers write only their own job slot, and a group only
-    //    under its lock. A FatalError stays on its point (from
-    //    Step 1, on its whole group); any other exception aborts the
-    //    batch.
+    //    Workers write only their own job and its first output slot,
+    //    copied while the result is still in the worker's CPU cache,
+    //    and a group only under its lock. A FatalError stays on its
+    //    point (from Step 1, on its whole group); any other exception
+    //    aborts the batch.
+    std::vector<EvalResult> results(points.size());
     parallel::parallelFor(
         threadCount(misses.size()), misses.size(), [&](std::size_t m) {
             Job &job = jobs[misses[m]];
@@ -185,9 +190,12 @@ BatchEvaluator::evaluatePoints(const std::vector<EvalPoint> &points,
                 return;
             }
             try {
-                job.result = std::make_shared<const EvalResult>(
-                    engine_.evaluateFromDense(*p.workload, *p.mapping,
-                                              *p.safs, *group.dense));
+                EvalResult result = engine_.evaluateFromDense(
+                    *p.workload, *p.mapping, *p.safs, *group.dense);
+                results[job.first] = result;
+                job.result =
+                    std::make_shared<const EvalResult>(std::move(result));
+                job.fresh = true;
             } catch (const FatalError &err) {
                 job.error = err.what();
             }
@@ -211,21 +219,20 @@ BatchEvaluator::evaluatePoints(const std::vector<EvalPoint> &points,
     }
     cache_->storeResults(std::move(fresh_results));
 
-    // 5. Scatter the deduplicated results back to input order.
+    // 5. Fill the slots the workers did not: cache hits, in-batch
+    //    duplicates and failed points.
     first_failure = points.size();
-    std::vector<EvalResult> results;
-    results.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Job &job = jobs[point_to_job[i]];
         if (job.result) {
-            results.push_back(*job.result);
+            if (!job.fresh || i != job.first) {
+                results[i] = *job.result;
+            }
             continue;
         }
         first_failure = std::min(first_failure, i);
-        EvalResult bad;
-        bad.valid = false;
-        bad.invalid_reason = job.error;
-        results.push_back(std::move(bad));
+        results[i].valid = false;
+        results[i].invalid_reason = job.error;
     }
     return results;
 }

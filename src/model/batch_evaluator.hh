@@ -13,21 +13,23 @@
  * pool `Mapper::searchWithThreads` and the search strategies ride).
  * Whichever member of a group runs first fetches or computes the
  * group's Step-1 dense traffic under the group's lock; the others
- * reuse it. Fresh entries are merged into the cache shards in bulk
- * after the wave, so repeated batches — and any mapper sharing the
- * cache — keep hitting.
+ * reuse it. The worker that evaluates a miss writes the result into
+ * the output slot of the first point that asked for it; the caller
+ * then copies cache hits and in-batch duplicates into theirs. Fresh
+ * entries are merged into the cache shards in bulk after the wave, so
+ * repeated batches — and any mapper sharing the cache — keep hitting.
  *
  * A `FatalError` from the engine stays on its point: a Step-1 error
  * marks every point of its dense group, a Step-2/3 error only its own
  * point. The rest of the batch is evaluated and cached as usual.
  *
  * Results are bit-identical to calling `Engine::evaluate` on every
- * point sequentially: deduplicated points receive copies of the same
- * `EvalResult` object, and steps 2-3 always run on the exact Step-1
- * output they would have computed locally. (As everywhere in the
- * cache subsystem, identity is judged by `EvalKey`, so the guarantee
- * holds up to 64-bit signature collisions — ~2^-64 per pair of
- * distinct designs.)
+ * point sequentially: every point with one `EvalKey` receives a copy
+ * of the one `EvalResult` computed (or cached) for it, and steps 2-3
+ * always run on the exact Step-1 output they would have computed
+ * locally. (As everywhere in the cache subsystem, identity is judged
+ * by `EvalKey`, so the guarantee holds up to 64-bit signature
+ * collisions — ~2^-64 per pair of distinct designs.)
  *
  * Quickstart:
  * @code
@@ -101,7 +103,9 @@ class BatchEvaluator
 
     /**
      * Evaluate a batch. Returns one result per input point, in input
-     * order, each bit-identical to `engine().evaluate` on that point.
+     * order, each bit-identical to `engine().evaluate` on that point:
+     * a fresh point's slot is filled by the worker that evaluated it,
+     * every other slot by a copy of the cached result.
      * Invalid mappings (capacity overflow) come back as results with
      * `valid == false`. When malformed mappings make the engine throw
      * `FatalError`, the rest of the batch is still evaluated and

@@ -18,8 +18,9 @@ namespace sparseloop {
 SparseTensor
 generateUniform(const Shape &shape, double density, std::uint64_t seed)
 {
-    SL_ASSERT(density >= 0.0 && density <= 1.0,
-              "density out of range: ", density);
+    if (!(density >= 0.0 && density <= 1.0)) {
+        SL_FATAL("uniform density must be in [0, 1], got ", density);
+    }
     SparseTensor t(shape);
     std::int64_t total = t.elementCount();
     auto nnz = static_cast<std::int64_t>(
@@ -49,7 +50,10 @@ SparseTensor
 generateStructured(const Shape &shape, std::int64_t n, std::int64_t m,
                    std::uint64_t seed)
 {
-    SL_ASSERT(n >= 0 && m >= 1, "invalid n:m structure");
+    if (n < 0 || m < 1) {
+        SL_FATAL("structured sparsity needs n >= 0 and m >= 1, got ", n,
+                 ":", m);
+    }
     SparseTensor t(shape);
     std::int64_t inner = shape.back();
     std::int64_t outer = t.elementCount() / inner;
@@ -75,7 +79,10 @@ generateBanded(std::int64_t rows, std::int64_t cols,
                std::int64_t half_bandwidth, double in_band_density,
                std::uint64_t seed)
 {
-    SL_ASSERT(half_bandwidth >= 0, "negative bandwidth");
+    if (half_bandwidth < 0) {
+        SL_FATAL("banded half-bandwidth must be >= 0, got ",
+                 half_bandwidth);
+    }
     SparseTensor t({rows, cols});
     std::mt19937_64 rng(seed);
     std::uniform_real_distribution<double> coin(0.0, 1.0);

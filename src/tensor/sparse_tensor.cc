@@ -14,9 +14,14 @@ namespace sparseloop {
 SparseTensor::SparseTensor(Shape shape)
     : shape_(std::move(shape))
 {
-    SL_ASSERT(!shape_.empty(), "tensor must have at least one rank");
-    for (auto e : shape_) {
-        SL_ASSERT(e >= 1, "tensor extents must be positive");
+    if (shape_.empty()) {
+        SL_FATAL("tensor must have at least one rank");
+    }
+    for (std::size_t r = 0; r < shape_.size(); ++r) {
+        if (shape_[r] < 1) {
+            SL_FATAL("tensor extents must be positive, got ", shape_[r],
+                     " at rank ", r);
+        }
     }
 }
 

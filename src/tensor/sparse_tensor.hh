@@ -25,7 +25,8 @@ namespace sparseloop {
 class SparseTensor
 {
   public:
-    /** Construct an all-zero tensor with the given per-rank extents. */
+    /** Construct an all-zero tensor with the given per-rank extents.
+     *  Throws `FatalError` on an empty shape or an extent below 1. */
     explicit SparseTensor(Shape shape);
 
     const Shape &shape() const { return shape_; }

@@ -100,6 +100,45 @@ TEST(BatchEvaluator, MatchesSequentialAcrossThreadCounts)
             EXPECT_TRUE(bitIdentical(expected[i], results[i]))
                 << "point " << i;
         }
+
+        // A mixed batch: with half the sweep already cached, each SAF
+        // spec's mappings come twice over around an empty `Mapping()`,
+        // so slots are fresh, hits, duplicates and one failure.
+        BatchEvaluator mixed(engine, nullptr, opts);
+        mixed.evaluateBatch(std::vector<EvalPoint>(
+            sweep.points.begin(),
+            sweep.points.begin() + sweep.points.size() / 2));
+        Mapping empty;
+        std::vector<const Mapping *> mappings;
+        for (const Mapping &m : sweep.mappings) {
+            mappings.push_back(&m);
+        }
+        mappings.push_back(&empty);
+        for (const Mapping &m : sweep.mappings) {
+            mappings.push_back(&m);
+        }
+        for (const SafSpec &safs : sweep.safs) {
+            std::vector<EvalResult> got =
+                mixed.evaluateMappings(sweep.workload, mappings, safs);
+            ASSERT_EQ(got.size(), mappings.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                if (mappings[i] != &empty) {
+                    EXPECT_TRUE(bitIdentical(
+                        engine.evaluate(sweep.workload, *mappings[i],
+                                        safs),
+                        got[i]))
+                        << "mixed point " << i;
+                    continue;
+                }
+                EXPECT_FALSE(got[i].valid);
+                try {
+                    engine.evaluate(sweep.workload, empty, safs);
+                    ADD_FAILURE() << "the engine accepted Mapping()";
+                } catch (const FatalError &err) {
+                    EXPECT_EQ(got[i].invalid_reason, err.what());
+                }
+            }
+        }
     }
 }
 

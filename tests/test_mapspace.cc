@@ -138,6 +138,18 @@ TEST(MapSpace, SizeAccountingMatchesEnumeration)
     }
     EXPECT_EQ(static_cast<std::int64_t>(signatures.size()),
               size.enumerable);
+    EXPECT_THROW(space.mappingAt(-1), FatalError);
+}
+
+TEST(MapSpace, MappingAtNeedsAnEnumerableSpace)
+{
+    // 256 = 2^8 splits 45 ways over three levels, and 45^3 = 91,125
+    // tilings exceed the 2^16 sized exactly.
+    Workload w = makeMatmul(256, 256, 256);
+    Architecture arch = threeLevelArch();
+    MapSpace space(w, arch);
+    ASSERT_LT(space.size().enumerable, 0);
+    EXPECT_THROW(space.mappingAt(0), FatalError);
 }
 
 TEST(MapSpace, ConstraintsPruneByConstruction)

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/logging.hh"
 #include "tensor/fibertree.hh"
 #include "tensor/generate.hh"
 #include "tensor/point.hh"
@@ -67,6 +68,12 @@ TEST(SparseTensor, TileNonzeroCount)
     EXPECT_EQ(t.tileNonzeroCount({2, 2}, {10, 10}), 1);
 }
 
+TEST(SparseTensor, BadShapeIsFatal)
+{
+    EXPECT_THROW(SparseTensor(Shape{}), FatalError);
+    EXPECT_THROW(SparseTensor({4, 0}), FatalError);
+}
+
 TEST(Generate, UniformHitsRequestedDensity)
 {
     auto t = generateUniform({64, 64}, 0.25, 42);
@@ -109,6 +116,13 @@ TEST(Generate, BandedRespectsBand)
     for (std::int64_t i = 0; i < 32; ++i) {
         EXPECT_TRUE(t.isNonzero({i, i}));
     }
+}
+
+TEST(Generate, BadParametersAreFatal)
+{
+    EXPECT_THROW(generateUniform({8, 8}, 1.5, 1), FatalError);
+    EXPECT_THROW(generateStructured({8, 8}, 2, 0, 1), FatalError);
+    EXPECT_THROW(generateBanded(8, 8, -1, 0.5, 1), FatalError);
 }
 
 TEST(FiberTree, LeafCountMatchesNonzeros)
